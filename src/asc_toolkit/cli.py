@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .indices import INDEX_NAMES, IndexConfig, compute_from_tags
-from .ingest import ConlluError, Document, parse_conllu_file
-from .norms import NormTable, NormTableError, build_norms, count_tags, load_norms, save_norms
+from .ingest import ConlluError, parse_conllu_file
+from .norms import NormTable, NormTableError, build_norms, load_norms, save_norms
 from .stats import format_report, load_feature_matrix, run_pipeline
 from .tagger import debug_lines, tag_document
 
@@ -123,29 +125,59 @@ def _format_cell(value: float | None) -> str:
 
 
 def _analyze_one(path: Path, key: str, norm: NormTable, cfg: IndexConfig, want_debug: bool):
+    """(CSV row, None, debug lines) for a readable file; (None, warning, []) otherwise."""
     try:
         doc = parse_conllu_file(path, source_id=key)
     except (OSError, UnicodeDecodeError, ConlluError) as exc:
-        return key, None, f"{key}: {exc}", []
+        return None, f"{key}: {exc}", []
     tags = tag_document(doc)
     values = compute_from_tags(tags, norm, cfg)
-    dbg = list(debug_lines(tags)) if want_debug else []
-    return key, [values[name] for name in INDEX_NAMES], None, dbg
+    row = [key, *(_format_cell(values[name]) for name in INDEX_NAMES)]
+    return row, None, list(debug_lines(tags)) if want_debug else []
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(norm_path: str, window: int, min_ref_freq: int) -> None:
-    _WORKER_STATE["norm"] = load_norms(norm_path)
-    _WORKER_STATE["cfg"] = IndexConfig(window=window, min_ref_freq=min_ref_freq)
+def _init_worker(norm: NormTable, cfg: IndexConfig, want_debug: bool) -> None:
+    _WORKER_STATE.update(norm=norm, cfg=cfg, want_debug=want_debug)
 
 
-def _worker_task(item: tuple[str, str, bool]):
-    key, path_str, want_debug = item
-    return _analyze_one(
-        Path(path_str), key, _WORKER_STATE["norm"], _WORKER_STATE["cfg"], want_debug
-    )
+def _worker_task(item: tuple[str, Path]):
+    key, path = item
+    return _analyze_one(path, key, **_WORKER_STATE)
+
+
+@contextmanager
+def _replace_on_success(path: str | Path | None) -> Iterator[TextIO | None]:
+    """Write a file beside path that replaces it only if the block completes.
+
+    On any exception, Ctrl-C included, path keeps what it had before.  This
+    holds for a path that is a regular file or does not exist yet; any other
+    destination (a symlink such as /dev/stdout, a device such as /dev/null,
+    a FIFO) is written directly, so that it stays what it is.  An optional
+    output that was not asked for (path None) yields None.
+    """
+    if path is None:
+        yield None
+        return
+    path = Path(path)
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    partial = path.with_name(path.name + ".partial")
+    try:
+        fh = open(partial, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        exc.filename = str(path)  # name the destination that was asked for
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def cmd_analyze(args) -> int:
@@ -161,52 +193,43 @@ def cmd_analyze(args) -> int:
         cfg = IndexConfig(window=args.window, min_ref_freq=args.min_ref_freq)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    norm_path = resolve_source(args.source)
-    norm = load_norms(norm_path)
+    norm = load_norms(resolve_source(args.source))
     want_debug = args.debug_tags is not None
-
-    results = []
-    if args.jobs == 1:
-        for key, path in files:
-            results.append(_analyze_one(path, key, norm, cfg, want_debug))
-    else:
-        tasks = [(key, str(path), want_debug) for key, path in files]
-        with ProcessPoolExecutor(
-            max_workers=args.jobs,
-            initializer=_init_worker,
-            initargs=(str(norm_path), args.window, args.min_ref_freq),
-        ) as pool:
-            results = list(pool.map(_worker_task, tasks))
-
-    results.sort(key=lambda r: r[0])
-    warnings = [r[2] for r in results if r[2] is not None]
     out_path = Path(args.output_csv)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+
+    warnings: list[str] = []
+    with ExitStack() as stack:
+        out = stack.enter_context(_replace_on_success(out_path))
+        debug = stack.enter_context(_replace_on_success(args.debug_tags))
+        # Results arrive in file order, which discover_files sorted by key.
+        if args.jobs == 1:
+            results = (_analyze_one(path, key, norm, cfg, want_debug) for key, path in files)
+        else:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(
+                    max_workers=args.jobs,
+                    initializer=_init_worker,
+                    initargs=(norm, cfg, want_debug),
+                )
+            )
+            results = pool.map(_worker_task, files)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["filename", *INDEX_NAMES])
-        for key, values, error, _ in results:
-            if error is not None:
+        for row, warning, lines in results:
+            if warning is not None:
+                warnings.append(warning)
                 continue
-            writer.writerow([key, *(_format_cell(v) for v in values)])
-    if want_debug:
-        with open(args.debug_tags, "w", encoding="utf-8", newline="") as fh:
-            for _, _, error, dbg in results:
-                if error is None:
-                    for line in dbg:
-                        fh.write(line + "\n")
+            writer.writerow(row)
+            for line in lines:
+                debug.write(line + "\n")
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(
-        f"analyzed {len(results) - len(warnings)} of {len(files)} files, "
+        f"analyzed {len(files) - len(warnings)} of {len(files)} files, "
         f"{len(warnings)} warnings -> {out_path}",
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def _iter_corpus(files: list[tuple[str, Path]]) -> Iterator[Document]:
-    for key, path in files:
-        yield parse_conllu_file(path, source_id=key)
 
 
 def cmd_build_norms(args) -> int:
@@ -214,22 +237,10 @@ def cmd_build_norms(args) -> int:
     if not corpus_dir.is_dir():
         raise ValueError(f"corpus dir {corpus_dir} does not exist")
     files = discover_files(corpus_dir, args.recursive)
-    if not files:
-        raise NormTableError("empty norm table")
+    documents = (parse_conllu_file(path, source_id=key) for key, path in files)
     label = args.label if args.label is not None else corpus_dir.name
-    if args.debug_tags is not None:
-        with open(args.debug_tags, "w", encoding="utf-8", newline="") as fh:
-
-            def tags_with_debug():
-                for doc in _iter_corpus(files):
-                    tags = tag_document(doc)
-                    for line in debug_lines(tags):
-                        fh.write(line + "\n")
-                    yield from tags
-
-            norm = count_tags(tags_with_debug(), label)
-    else:
-        norm = build_norms(_iter_corpus(files), label)
+    with _replace_on_success(args.debug_tags) as debug:
+        norm = build_norms(documents, label, debug=debug)
     save_norms(norm, args.out)
     print(f"{norm.total} ASC tokens ({len(norm.pair_counts)} pairs) -> {args.out}")
     return EXIT_OK
@@ -260,13 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
         argv.insert(0, "analyze")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,8 +14,7 @@ from typing import Iterable
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
-_WORD_ID = re.compile(r"^\d+$")
-_HEAD = re.compile(r"^\d+$")
+_DIGITS = re.compile(r"^\d+$")  # word ids and heads
 
 
 class ConlluError(ValueError):
@@ -79,9 +78,9 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
         tok_id = fields[0]
         if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
             continue
-        if not _WORD_ID.match(tok_id):
+        if not _DIGITS.match(tok_id):
             raise ConlluError(f"line {lineno}: malformed token line (non-integer id {tok_id!r})")
-        if not _HEAD.match(fields[6]):
+        if not _DIGITS.match(fields[6]):
             raise ConlluError(
                 f"line {lineno}: malformed token line (non-integer head {fields[6]!r})"
             )
@@ -101,26 +100,25 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
 
 
 def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Document:
+    """Parse a UTF-8 CoNLL-U file; a leading byte order mark is skipped."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_conllu(fh, source_id=source_id if source_id is not None else path.name)
 
 
 def _finish_sentence(tokens: list[Token], index: int) -> Sentence:
     """Validate the head graph: unique ids, one root, valid heads, no cycles."""
-    ids = {t.id for t in tokens}
-    if len(ids) != len(tokens):
+    head_of = {t.id: t.head for t in tokens}
+    if len(head_of) != len(tokens):
         raise ConlluError(f"sentence {index}: duplicate token ids")
     roots = [t for t in tokens if t.head == 0]
     if not roots:
         raise ConlluError(f"sentence {index}: headless sentence (no head=0 token)")
     if len(roots) > 1:
         raise ConlluError(f"sentence {index}: multiple root tokens")
-    head_of = {}
     for t in tokens:
-        if t.head != 0 and t.head not in ids:
+        if t.head != 0 and t.head not in head_of:
             raise ConlluError(f"sentence {index}: head {t.head} points to missing token")
-        head_of[t.id] = t.head
     # Walk each token to the root; revisiting a node on the same walk is a cycle.
     resolved: set[int] = set()
     for t in tokens:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .ingest import Document
-from .tagger import ASC_TYPES, AscToken, tag_document
+from .tagger import ASC_TYPES, debug_lines, tag_document
 
 # Format version written to norm files; loaders accept the same major version.
 NORM_FORMAT_VERSION = "1.0.0"
@@ -52,18 +52,8 @@ class NormTable:
 
     def __post_init__(self) -> None:
         if not self.type_counts and not self.lemma_counts and self.total == 0:
-            self._recompute_marginals()
+            self.type_counts, self.lemma_counts, self.total = _marginals(self.pair_counts)
         self.validate()
-
-    def _recompute_marginals(self) -> None:
-        type_counts: Counter[str] = Counter()
-        lemma_counts: Counter[str] = Counter()
-        for (c, v), n in self.pair_counts.items():
-            type_counts[c] += n
-            lemma_counts[v] += n
-        self.type_counts = dict(type_counts)
-        self.lemma_counts = dict(lemma_counts)
-        self.total = sum(self.pair_counts.values())
 
     def validate(self) -> None:
         if not self.pair_counts or self.total < 1:
@@ -73,33 +63,42 @@ class NormTable:
                 raise NormTableError(f"inconsistent norm table: count {n} for ({c}, {v})")
             if c not in ASC_TYPES:
                 raise NormTableError(f"inconsistent norm table: unknown construction tag {c!r}")
-        type_counts: Counter[str] = Counter()
-        lemma_counts: Counter[str] = Counter()
-        for (c, v), n in self.pair_counts.items():
-            type_counts[c] += n
-            lemma_counts[v] += n
-        if dict(type_counts) != self.type_counts or dict(lemma_counts) != self.lemma_counts:
+        type_counts, lemma_counts, total = _marginals(self.pair_counts)
+        if type_counts != self.type_counts or lemma_counts != self.lemma_counts:
             raise NormTableError("inconsistent norm table: marginals disagree with pair counts")
-        if sum(self.pair_counts.values()) != self.total:
+        if total != self.total:
             raise NormTableError("inconsistent norm table: total disagrees with pair counts")
 
 
-def build_norms(documents: Iterable[Document], label: str) -> NormTable:
-    """Tag every document and accumulate pair counts into a NormTable."""
+def _marginals(
+    pair_counts: dict[tuple[str, str], int],
+) -> tuple[dict[str, int], dict[str, int], int]:
+    """Per-construction and per-lemma sums of the pair counts, and their total."""
+    type_counts: Counter[str] = Counter()
+    lemma_counts: Counter[str] = Counter()
+    for (c, v), n in pair_counts.items():
+        type_counts[c] += n
+        lemma_counts[v] += n
+    return dict(type_counts), dict(lemma_counts), sum(pair_counts.values())
+
+
+def build_norms(
+    documents: Iterable[Document], label: str, debug: TextIO | None = None
+) -> NormTable:
+    """Tag every document and accumulate pair counts into a NormTable.
+
+    With a debug sink, each document's tagged-token stream is written to it
+    as the document is counted.
+    """
     pair_counts: Counter[tuple[str, str]] = Counter()
     for doc in documents:
-        for tag in tag_document(doc):
+        tags = tag_document(doc)
+        for tag in tags:
             pair_counts[tag.pair()] += 1
-    if not pair_counts:
-        raise NormTableError("empty norm table")
-    return NormTable(pair_counts=dict(pair_counts), source=label)
-
-
-def count_tags(tags: Iterable[AscToken], label: str) -> NormTable:
-    """Build a NormTable from an already-tagged token stream."""
-    pair_counts = Counter(t.pair() for t in tags)
-    if not pair_counts:
-        raise NormTableError("empty norm table")
+        if debug is not None:
+            for line in debug_lines(tags):
+                debug.write(line + "\n")
+        del doc, tags  # neither is held while the next document is parsed
     return NormTable(pair_counts=dict(pair_counts), source=label)
 
 
@@ -168,10 +167,7 @@ def load_norms(path: str | Path) -> NormTable:
         declared_total = int(header["total"])
     except ValueError:
         raise NormTableError("malformed norm file: non-integer #total header") from None
-    try:
-        norm = NormTable(pair_counts=pair_counts, source=header["source"], version=version)
-    except NormTableError:
-        raise
+    norm = NormTable(pair_counts=pair_counts, source=header["source"], version=version)
     if norm.total != declared_total:
         raise NormTableError(
             f"inconsistent norm table: #total={declared_total} but rows sum to {norm.total}"

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from scipy import stats as sps
@@ -60,12 +61,11 @@ class FeatureMatrix:
         Returns (X, y, n_dropped) where dropped rows had a missing value in
         at least one requested column.
         """
-        cols = [self.columns[n] for n in names]
-        keep = [i for i in range(self.n_rows()) if all(c[i] is not None for c in cols)]
-        x = np.array([[c[i] for c in cols] for i in keep], dtype=float)
-        x = x.reshape(len(keep), len(names))
-        y = np.array([self.target[i] for i in keep], dtype=float)
-        return x, y, self.n_rows() - len(keep)
+        sub = self.restrict(names)
+        cols = [sub.columns[n] for n in names]
+        x = np.array([[c[i] for c in cols] for i in range(sub.n_rows())], dtype=float)
+        x = x.reshape(sub.n_rows(), len(names))
+        return x, np.array(sub.target, dtype=float), self.n_rows() - sub.n_rows()
 
     def restrict(self, names: list[str]) -> "FeatureMatrix":
         """Submatrix with only listwise-complete rows over the given columns."""
@@ -116,9 +116,6 @@ def bivariate_r(matrix: FeatureMatrix) -> dict[str, float | None]:
     for name in matrix.names:
         col = matrix.columns[name]
         pairs = [(v, t) for v, t in zip(col, matrix.target) if v is not None]
-        if len(pairs) < 3:
-            out[name] = None
-            continue
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]
         try:
@@ -431,6 +428,37 @@ def _lmg_shares(x: np.ndarray, y: np.ndarray, names: list[str]) -> dict[str, flo
 # CSV input and the end-to-end pipeline used by the command-line interface.
 
 
+def _csv_error(path: str | Path, line: int, column: str, problem: str) -> ValueError:
+    return ValueError(f"{path}: line {line}, column {column!r}: {problem}")
+
+
+def _keyed_rows(
+    reader: csv.DictReader, path: str | Path, join_column: str
+) -> Iterator[tuple[int, str, dict[str, str]]]:
+    """(line, key, row) for each data row; a key seen twice is an error naming both lines."""
+    first_line: dict[str, int] = {}
+    for row in reader:
+        key = row[join_column]
+        if key in first_line:
+            problem = f"duplicate {key!r} (first at line {first_line[key]})"
+            raise _csv_error(path, reader.line_num, join_column, problem)
+        first_line[key] = reader.line_num
+        yield reader.line_num, key, row
+
+
+def _index_value(text: str | None, path: str | Path, line: int, column: str) -> float | None:
+    """An indices cell: blank means missing; anything else must be a finite number."""
+    if text is None or text == "":
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise _csv_error(path, line, column, f"non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise _csv_error(path, line, column, f"non-finite value {text!r}")
+    return value
+
+
 def load_feature_matrix(
     indices_csv: str | Path,
     scores_csv: str | Path,
@@ -441,10 +469,14 @@ def load_feature_matrix(
     """Join an indices CSV with a scores CSV on filename.
 
     The target is either a single score column or the mean of the listed
-    composite columns.  Rows without a usable score are excluded.
+    composite columns.  Rows without a usable score (blank or non-numeric)
+    are excluded; a blank index cell is missing.  A duplicate filename, a
+    non-numeric index cell, or a nan or inf cell in either file is a
+    ValueError naming the file, the line and the column.  Both files may
+    start with a UTF-8 byte order mark.
     """
     scores: dict[str, float] = {}
-    with open(scores_csv, newline="", encoding="utf-8") as fh:
+    with open(scores_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or join_column not in reader.fieldnames:
             raise ValueError(f"scores CSV lacks a {join_column!r} column")
@@ -452,31 +484,33 @@ def load_feature_matrix(
         missing = [c for c in wanted if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"scores CSV lacks column(s): {', '.join(missing)}")
-        for row in reader:
+        for line, key, row in _keyed_rows(reader, scores_csv, join_column):
             try:
                 vals = [float(row[c]) for c in wanted]
             except (TypeError, ValueError):
                 continue
-            scores[row[join_column]] = sum(vals) / len(vals)
+            for c, v in zip(wanted, vals):
+                if not math.isfinite(v):
+                    raise _csv_error(scores_csv, line, c, f"non-finite value {row[c]!r}")
+            scores[key] = sum(vals) / len(vals)
 
     ids: list[str] = []
     target: list[float] = []
     columns: dict[str, list[float | None]] = {}
-    with open(indices_csv, newline="", encoding="utf-8") as fh:
+    with open(indices_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or join_column not in reader.fieldnames:
             raise ValueError(f"indices CSV lacks a {join_column!r} column")
         feature_names = [c for c in reader.fieldnames if c != join_column]
         columns = {n: [] for n in feature_names}
-        for row in reader:
-            key = row[join_column]
+        for line, key, row in _keyed_rows(reader, indices_csv, join_column):
+            values = [_index_value(row[n], indices_csv, line, n) for n in feature_names]
             if key not in scores:
                 continue
             ids.append(key)
             target.append(scores[key])
-            for n in feature_names:
-                cell = row[n]
-                columns[n].append(float(cell) if cell not in (None, "") else None)
+            for n, value in zip(feature_names, values):
+                columns[n].append(value)
     return FeatureMatrix(ids=ids, names=feature_names, columns=columns, target=target)
 
 
@@ -505,72 +539,47 @@ def run_pipeline(
     r_by_name = bivariate_r(matrix)
     filtered = bivariate_filter(matrix, r_threshold)
     notes: list[str] = []
-    if not filtered:
-        notes.append("no feature passed the bivariate filter; intercept-only model")
-        return PipelineResult(
-            n_rows=matrix.n_rows(),
-            r_threshold=r_threshold,
-            vif_limit=vif_limit,
-            r_by_name=r_by_name,
-            filtered=[],
-            n_dropped_missing=0,
-            vif_kept=[],
-            selection=None,
-            summary=None,
-            notes=notes,
-        )
     # Listwise completion can starve the model when sparse per-type indices
     # pass the filter; exclude the sparsest candidates until enough complete
     # rows remain for the largest possible model.
     modeling = list(filtered)
     excluded_sparse: list[str] = []
-    while modeling:
-        _, y_check, _ = matrix.complete(modeling)
-        if len(y_check) >= max(3, len(modeling) + 2):
-            break
-        missing = {
-            n: sum(1 for v in matrix.columns[n] if v is None) for n in modeling
-        }
+    missing = {n: matrix.columns[n].count(None) for n in filtered}
+    complete = matrix.restrict(modeling)
+    while modeling and complete.n_rows() < max(3, len(modeling) + 2):
         worst = max(modeling, key=lambda n: (missing[n], modeling.index(n)))
         modeling.remove(worst)
         excluded_sparse.append(worst)
+        complete = matrix.restrict(modeling)
     if excluded_sparse:
         notes.append(
             "excluded as too sparse to model: " + ", ".join(excluded_sparse)
         )
-    if not modeling:
+    vif_kept: list[str] = []
+    selection = summary = None
+    if not filtered:
+        notes.append("no feature passed the bivariate filter; intercept-only model")
+    elif not modeling:
         notes.append("no candidate feature had enough complete rows; no model fitted")
-        return PipelineResult(
-            n_rows=matrix.n_rows(),
-            r_threshold=r_threshold,
-            vif_limit=vif_limit,
-            r_by_name=r_by_name,
-            filtered=filtered,
-            n_dropped_missing=0,
-            vif_kept=[],
-            selection=None,
-            summary=None,
-            notes=notes,
-        )
-    _, _, n_dropped = matrix.complete(modeling)
-    complete = matrix.restrict(modeling)
-    vif_kept = vif_prune(complete, limit=vif_limit)
-    if len(vif_kept) < len(modeling):
-        dropped = [n for n in modeling if n not in vif_kept]
-        notes.append("dropped for collinearity: " + ", ".join(dropped))
-    selection = aic_select(complete, vif_kept)
-    if not selection.exhaustive:
-        notes.append(
-            f"subset search was stepwise (forward+backward) over {selection.n_models} models"
-        )
-    summary = ols_fit(complete, list(selection.best))
+    else:
+        vif_kept = vif_prune(complete, limit=vif_limit)
+        if len(vif_kept) < len(modeling):
+            dropped = [n for n in modeling if n not in vif_kept]
+            notes.append("dropped for collinearity: " + ", ".join(dropped))
+        selection = aic_select(complete, vif_kept)
+        if not selection.exhaustive:
+            notes.append(
+                f"subset search was stepwise (forward+backward) over {selection.n_models} models"
+            )
+        summary = ols_fit(complete, list(selection.best))
     return PipelineResult(
         n_rows=matrix.n_rows(),
         r_threshold=r_threshold,
         vif_limit=vif_limit,
         r_by_name=r_by_name,
         filtered=filtered,
-        n_dropped_missing=n_dropped,
+        # restrict([]) keeps every row, so no model means no drop
+        n_dropped_missing=matrix.n_rows() - complete.n_rows(),
         vif_kept=vif_kept,
         selection=selection,
         summary=summary,

@@ -1,5 +1,7 @@
+import os
 import random
 import shutil
+import stat
 from collections import Counter
 from pathlib import Path
 
@@ -132,15 +134,61 @@ def test_analyze_malformed_conllu_warns(frames_dir, tmp_path, capsys):
     assert "malformed token line" in capsys.readouterr().err
 
 
-def test_analyze_jobs_parallel_identical(frames_dir, tmp_path):
+def test_analyze_jobs_parallel_identical(frames_dir, tmp_path, capsys):
     inp = copy_frames(
         frames_dir, tmp_path / "in", ["attr", "ditran", "passive", "tran_s", "intran_s"]
     )
-    out1, out2 = tmp_path / "o1.csv", tmp_path / "o2.csv"
+    (inp / "bad.conllu").write_text("1\tx\tx\n", encoding="utf-8")
     base = ["analyze", "--input-dir", str(inp), "--source", "demo"]
-    assert cli.main(base + ["--output-csv", str(out1), "--jobs", "1"]) == 0
-    assert cli.main(base + ["--output-csv", str(out2), "--jobs", "2"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    outputs = {}
+    for jobs in ("1", "2"):
+        csv_path, dbg_path = tmp_path / f"o{jobs}.csv", tmp_path / f"t{jobs}.tsv"
+        args = ["--output-csv", str(csv_path), "--debug-tags", str(dbg_path), "--jobs", jobs]
+        assert cli.main(base + args) == 0
+        assert "analyzed 5 of 6 files, 1 warnings" in capsys.readouterr().err
+        outputs[jobs] = (csv_path.read_bytes(), dbg_path.read_bytes())
+    assert outputs["1"] == outputs["2"]
+    csv_bytes, dbg_bytes = outputs["1"]
+    assert len(csv_bytes.decode().splitlines()) == 6
+    assert b"bad.conllu" not in csv_bytes and b"bad.conllu" not in dbg_bytes
+
+
+def test_analyze_interrupted_leaves_no_output(frames_dir, tmp_path, monkeypatch):
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr", "ditran", "passive"])
+    out, dbg = tmp_path / "out.csv", tmp_path / "tags.tsv"
+    real = cli.compute_from_tags
+    calls = []
+
+    def interrupt_on_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(cli, "compute_from_tags", interrupt_on_second)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(
+            [
+                "analyze",
+                "--input-dir", str(inp),
+                "--output-csv", str(out),
+                "--source", "demo",
+                "--debug-tags", str(dbg),
+            ]
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
+def test_analyze_accepts_bom_file(frames_dir, tmp_path, capsys):
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr"])
+    plain = frames_dir / "ditran.conllu"
+    (inp / "ditran.conllu").write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    out = tmp_path / "out.csv"
+    rc = cli.main(
+        ["analyze", "--input-dir", str(inp), "--output-csv", str(out), "--source", "demo"]
+    )
+    assert rc == 0
+    assert "analyzed 2 of 2 files, 0 warnings" in capsys.readouterr().err
 
 
 def test_analyze_recursive(frames_dir, tmp_path):
@@ -184,6 +232,43 @@ def test_analyze_debug_tags_stream(frames_dir, tmp_path):
         "ditran.conllu\t1\t2\tDITRAN\tsend",
         "ditran.conllu\t2\t2\tDITRAN\toffer",
     ]
+
+
+def test_analyze_writes_through_symlink_and_fifo(frames_dir, tmp_path):
+    inp = copy_frames(frames_dir, tmp_path / "in", ["ditran"])
+    base = ["analyze", "--input-dir", str(inp), "--source", "demo"]
+    base += ["--output-csv", str(tmp_path / "o.csv"), "--debug-tags"]
+    plain = tmp_path / "plain.tsv"
+    assert cli.main(base + [str(plain)]) == 0
+    expected = plain.read_bytes()
+    assert expected
+
+    real, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+    real.write_text("old\n", encoding="utf-8")
+    link.symlink_to(real)
+    assert cli.main(base + [str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes() == expected
+
+    fifo = tmp_path / "tags.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open at once
+    try:
+        assert cli.main(base + [str(fifo)]) == 0
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and received == expected
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".partial")) == []
+
+
+def test_analyze_missing_output_dir_names_the_destination(frames_dir, tmp_path, capsys):
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr"])
+    out = tmp_path / "nodir" / "out.csv"
+    rc = cli.main(
+        ["analyze", "--input-dir", str(inp), "--output-csv", str(out), "--source", "demo"]
+    )
+    assert rc == 2
+    assert f"No such file or directory: '{out}'" in capsys.readouterr().err
 
 
 def test_bare_flags_default_to_analyze(frames_dir, tmp_path):
@@ -286,6 +371,9 @@ def test_build_norms_debug_stream_matches_table(frames_dir, tmp_path):
         _, _, _, asc_type, lemma = line.split("\t")
         recount[(asc_type, lemma)] += 1
     assert dict(recount) == norm.pair_counts
+    plain = tmp_path / "plain.tsv"
+    assert cli.main(["build-norms", "--corpus-dir", str(frames_dir), "--out", str(plain)]) == 0
+    assert plain.read_bytes() == out.read_bytes()
 
 
 def write_stats_csvs(tmp_path, n=200, seed=7):
@@ -369,6 +457,38 @@ def test_stats_composite_option(tmp_path):
     )
     assert rc == 0
     assert report.exists()
+
+
+@pytest.mark.parametrize(
+    "which, lineno, text, column, problem",
+    [
+        ("indices", 3, "t1,nan,1", "alpha", "non-finite value 'nan'"),
+        ("indices", 4, "t2,2,inf", "beta", "non-finite value 'inf'"),
+        ("scores", 5, "t3,-inf", "score", "non-finite value '-inf'"),
+        ("indices", 6, "t4,4,abc", "beta", "non-numeric value 'abc'"),
+        ("scores", 7, "t1,7", "filename", "duplicate 't1' (first at line 3)"),
+        ("indices", 8, "t2,1,1", "filename", "duplicate 't2' (first at line 4)"),
+    ],
+    ids=["index-nan", "index-inf", "score-inf", "index-text", "score-dup", "index-dup"],
+)
+def test_stats_rejects_bad_csv_naming_file_line_column(
+    tmp_path, capsys, which, lineno, text, column, problem
+):
+    lines = {
+        "indices": ["filename,alpha,beta"] + [f"t{i},{i},{i % 3}" for i in range(12)],
+        "scores": ["filename,score"] + [f"t{i},{2 * i}" for i in range(12)],
+    }
+    lines[which][lineno - 1] = text
+    paths = {name: tmp_path / f"{name}.csv" for name in lines}
+    for name, path in paths.items():
+        path.write_text("\n".join(lines[name]) + "\n", encoding="utf-8")
+    rc = cli.main(
+        ["stats", "--indices-csv", str(paths["indices"]), "--scores-csv", str(paths["scores"]),
+         "--report", str(tmp_path / "r.txt")]
+    )
+    assert rc == 2
+    want = f"{paths[which]}: line {lineno}, column {column!r}: {problem}"
+    assert want in capsys.readouterr().err
 
 
 def test_unknown_subcommand_flag_is_usage_error(capsys):

@@ -124,3 +124,10 @@ def test_round_trip_token_count():
 def test_parse_is_deterministic():
     text = BARKED + "\n" + BARKED
     assert parse_conllu(text, "x") == parse_conllu(text, "x")
+
+
+def test_bom_prefixed_file_parses_like_the_plain_file(frames_dir, tmp_path):
+    plain = frames_dir / "ditran.conllu"
+    bom = tmp_path / "ditran.conllu"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert parse_conllu_file(bom) == parse_conllu_file(plain)

@@ -392,10 +392,21 @@ def test_load_feature_matrix_joins_on_filename(tmp_path):
 def test_load_feature_matrix_empty_cells_become_missing(tmp_path):
     idx = tmp_path / "i.csv"
     sc = tmp_path / "s.csv"
-    idx.write_text("filename,f\na,\nb,1.5\nc,2.5\n", encoding="utf-8")
-    sc.write_text("filename,score\na,1\nb,2\nc,3\n", encoding="utf-8")
+    idx.write_text("filename,f\na,\nb,1.5\nc,2.5\nd,3\ne,4\n", encoding="utf-8")
+    sc.write_text("filename,score\na,1\nb,2\nc,3\nd,\ne,n/a\n", encoding="utf-8")
     m = load_feature_matrix(idx, sc)
     assert m.columns["f"] == [None, 1.5, 2.5]
+    assert m.ids == ["a", "b", "c"]  # a blank or non-numeric score drops its row
+
+
+def test_load_feature_matrix_accepts_bom(tmp_path):
+    idx = tmp_path / "i.csv"
+    sc = tmp_path / "s.csv"
+    idx.write_text("\ufefffilename,f\na,1\nb,2\nc,3\n", encoding="utf-8")
+    sc.write_text("\ufefffilename,score\na,1\nb,2\nc,3\n", encoding="utf-8")
+    m = load_feature_matrix(idx, sc)
+    assert m.ids == ["a", "b", "c"]
+    assert m.names == ["f"]
 
 
 def test_load_feature_matrix_composite(tmp_path):
