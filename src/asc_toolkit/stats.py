@@ -10,23 +10,27 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import fdtrc, stdtr
 
 # Guard for log(RSS/n) on numerically perfect fits.
 _TINY_RSS = 1e-300
 
-# Beyond this many candidates an exhaustive subset scan gets slow in pure
-# Python; fall back to forward+backward stepwise search over visited models.
+# Beyond this many candidates the exhaustive scan's 2^k subsets cost too much
+# time and memory; fall back to forward+backward stepwise search over visited
+# models.
 MAX_EXHAUSTIVE = 18
 MAX_CANDIDATES = 25
 
 # LMG needs R^2 for every predictor subset; cap where 2^k stays cheap.
 MAX_LMG_PREDICTORS = 15
+
+# Subsets per batched solve in _all_subset_rss: enough to spread numpy's
+# per-call cost, few enough that a chunk's Gram submatrices stay a few MB.
+_CHUNK = 2000
 
 _SOA_SUFFIXES = ("AvMI", "AvT", "AvDeltaPLemma", "AvDeltaPStructure")
 
@@ -125,15 +129,21 @@ def bivariate_r(matrix: FeatureMatrix) -> dict[str, float | None]:
     return out
 
 
-def bivariate_filter(matrix: FeatureMatrix, threshold: float = 0.10) -> list[str]:
+def bivariate_filter(
+    matrix: FeatureMatrix,
+    threshold: float = 0.10,
+    r_by_name: dict[str, float | None] | None = None,
+) -> list[str]:
     """Keep features with |r| >= threshold, then prune association families.
 
     Within each association family (the four aggregate metrics form one
     family; each type-specific metric quadruple forms another) only the
     member most strongly correlated with the target survives.  Ties keep the
-    earlier column.
+    earlier column.  r_by_name, if given, is bivariate_r(matrix) already
+    computed.
     """
-    r_by_name = bivariate_r(matrix)
+    if r_by_name is None:
+        r_by_name = bivariate_r(matrix)
     passed = [
         n
         for n in matrix.names
@@ -214,12 +224,53 @@ class AicSelection:
 
 
 def _subset_rss(gram: np.ndarray, gy: np.ndarray, yy: float, idx: tuple[int, ...]) -> float:
+    """RSS of the fit on the design columns idx: solve, or lstsq if singular."""
     sub = np.ix_(idx, idx)
     try:
         beta = np.linalg.solve(gram[sub], gy[list(idx)])
     except np.linalg.LinAlgError:
         beta, _, _, _ = np.linalg.lstsq(gram[sub], gy[list(idx)], rcond=None)
     return max(float(yy - beta @ gy[list(idx)]), 0.0)
+
+
+def _bit_counts(masks: np.ndarray, k: int) -> np.ndarray:
+    counts = np.zeros(len(masks), dtype=np.int64)
+    for j in range(k):
+        counts += (masks >> j) & 1
+    return counts
+
+
+def _all_subset_rss(
+    gram: np.ndarray, gy: np.ndarray, yy: float, k: int, masks: list[int] | None = None
+) -> np.ndarray:
+    """RSS of the intercept-plus-S least-squares fit for each bit mask S.
+
+    gram, gy and yy are A'A, A'y and y'y for the design A = [1, x_0 .. x_{k-1}];
+    bit j of a mask selects x_j.  Without masks, every mask 0 .. 2^k - 1 is
+    scored and the result is indexed by mask; otherwise it follows masks.
+    Subsets are solved by size in chunks of _CHUNK, one batched solve per
+    chunk.  A chunk holding a singular system is re-scored subset by subset
+    with _subset_rss, so every subset scores exactly as its own solve would.
+    """
+    masks = np.arange(1 << k) if masks is None else np.asarray(masks, dtype=np.int64)
+    sizes = _bit_counts(masks, k)
+    bits = 1 << np.arange(k)
+    rss = np.empty(len(masks))
+    for size in range(k + 1):
+        where = np.flatnonzero(sizes == size)
+        for lo in range(0, len(where), _CHUNK):
+            at = where[lo : lo + _CHUNK]
+            cols = np.nonzero(masks[at, None] & bits)[1].reshape(len(at), size)
+            idx = np.column_stack([np.zeros(len(at), dtype=np.intp), cols + 1])
+            b = gy[idx]
+            try:
+                beta = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], b[..., None])
+            except np.linalg.LinAlgError:
+                rss[at] = [_subset_rss(gram, gy, yy, tuple(row)) for row in idx.tolist()]
+                continue
+            # a stacked (1 x m)(m x 1) product is the same dot as a single solve's
+            rss[at] = np.maximum(yy - np.matmul(b[:, None, :], beta)[:, 0, 0], 0.0)
+    return rss
 
 
 def aic_select(
@@ -244,24 +295,32 @@ def aic_select(
     gram = a.T @ a
     gy = a.T @ y
     yy = float(y @ y)
+    k = len(names)
 
-    def model_aic(subset: tuple[int, ...]) -> float:
-        idx = (0,) + tuple(j + 1 for j in subset)
-        return aic(n, _subset_rss(gram, gy, yy, idx), len(subset))
+    def model_aics(masks: list[int], rss: np.ndarray) -> dict[int, float]:
+        return {m: aic(n, r, m.bit_count()) for m, r in zip(masks, rss.tolist())}
 
-    scored: dict[tuple[int, ...], float] = {}
-    exhaustive = len(names) <= MAX_EXHAUSTIVE
+    exhaustive = k <= MAX_EXHAUSTIVE
     if exhaustive:
-        for size in range(len(names) + 1):
-            for subset in combinations(range(len(names)), size):
-                scored[subset] = model_aic(subset)
+        rss = _all_subset_rss(gram, gy, yy, k)
+        sizes = _bit_counts(np.arange(1 << k), k)
+        screen = n * np.log(np.maximum(rss, _TINY_RSS) / n) + 2 * (sizes + 2)
+        # np.log and math.log may differ in the last bit: the margin keeps
+        # every model within delta, and aic() then scores those exactly.
+        near = np.flatnonzero(screen - screen.min() < delta + 1e-6)
+        scored = model_aics(near.tolist(), rss[near])
+        n_models = 1 << k
     else:
-        _stepwise_scan(len(names), model_aic, scored)
+        scored = _stepwise_scan(
+            k, lambda masks: model_aics(masks, _all_subset_rss(gram, gy, yy, k, masks))
+        )
+        n_models = len(scored)
 
-    best_subset = min(scored, key=lambda s: (scored[s], len(s), s))
-    best_aic = scored[best_subset]
+    by_subset = {tuple(j for j in range(k) if m >> j & 1): v for m, v in scored.items()}
+    best_subset = min(by_subset, key=lambda s: (by_subset[s], len(s), s))
+    best_aic = by_subset[best_subset]
     within = sorted(
-        ((s, v) for s, v in scored.items() if v - best_aic < delta),
+        ((s, v) for s, v in by_subset.items() if v - best_aic < delta),
         key=lambda item: (item[1], len(item[0]), item[0]),
     )
     to_names = lambda s: tuple(names[j] for j in s)
@@ -270,37 +329,40 @@ def aic_select(
         best_aic=best_aic,
         candidates=[(to_names(s), v) for s, v in within],
         n_obs=n,
-        n_models=len(scored),
+        n_models=n_models,
         exhaustive=exhaustive,
     )
 
 
-def _stepwise_scan(k, model_aic, scored) -> None:
-    """Greedy forward and backward passes; every visited model is scored."""
+def _stepwise_scan(k: int, score: Callable[[list[int]], dict[int, float]]) -> dict[int, float]:
+    """Greedy forward and backward passes over bit masks; every visited model is scored.
 
-    def score(subset: tuple[int, ...]) -> float:
-        if subset not in scored:
-            scored[subset] = model_aic(subset)
-        return scored[subset]
+    score maps a batch of masks to their AICs; each step's unseen candidates
+    form one batch.  Returns the AIC of every visited mask.
+    """
+    scored: dict[int, float] = {}
 
-    current: tuple[int, ...] = ()
-    best = score(current)
-    while True:
-        step = [tuple(sorted(current + (j,))) for j in range(k) if j not in current]
-        if not step:
+    def best_of(step: list[int]) -> tuple[int, float]:
+        unseen = [m for m in step if m not in scored]
+        if unseen:
+            scored.update(score(unseen))
+        cand = min(step, key=scored.__getitem__)
+        return cand, scored[cand]
+
+    full = (1 << k) - 1
+    current, best = best_of([0])
+    while current != full:
+        cand, value = best_of([current | 1 << j for j in range(k) if not current >> j & 1])
+        if value >= best:
             break
-        cand = min(step, key=score)
-        if score(cand) >= best:
-            break
-        current, best = cand, score(cand)
-    current = tuple(range(k))
-    best = score(current)
+        current, best = cand, value
+    current, best = best_of([full])
     while current:
-        step = [tuple(j for j in current if j != drop) for drop in current]
-        cand = min(step, key=score)
-        if score(cand) >= best:
+        cand, value = best_of([current & ~(1 << j) for j in range(k) if current >> j & 1])
+        if value >= best:
             break
-        current, best = cand, score(cand)
+        current, best = cand, value
+    return scored
 
 
 @dataclass
@@ -348,12 +410,12 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     cov = np.linalg.inv(a.T @ a) * sigma2
     se = np.sqrt(np.diag(cov))
     t_vals = beta / se
-    p_vals = 2.0 * sps.t.sf(np.abs(t_vals), df_resid)
+    p_vals = 2.0 * stdtr(df_resid, -np.abs(t_vals))
     r2 = 1.0 - rss / tss
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df_resid
     if k > 0:
         f_stat = (r2 / k) / ((1.0 - r2) / df_resid) if r2 < 1.0 else math.inf
-        f_p = float(sps.f.sf(f_stat, k, df_resid)) if math.isfinite(f_stat) else 0.0
+        f_p = float(fdtrc(k, df_resid, f_stat)) if math.isfinite(f_stat) else 0.0
     else:
         f_stat = None
         f_p = None
@@ -400,27 +462,20 @@ def _lmg_shares(x: np.ndarray, y: np.ndarray, names: list[str]) -> dict[str, flo
     a = np.column_stack([np.ones(n), x])
     gram = a.T @ a
     gy = a.T @ y
-    yy = float(y @ y)
     yc = y - y.mean()
     tss = float(yc @ yc)
-
-    r2_by_mask = np.empty(1 << k)
-    for mask in range(1 << k):
-        idx = (0,) + tuple(j + 1 for j in range(k) if mask >> j & 1)
-        r2_by_mask[mask] = 1.0 - _subset_rss(gram, gy, yy, idx) / tss
+    r2 = 1.0 - _all_subset_rss(gram, gy, float(y @ y), k) / tss
+    sizes = _bit_counts(np.arange(1 << k), k)
 
     fact = [math.factorial(i) for i in range(k + 1)]
-    weight = [fact[s] * fact[k - 1 - s] / fact[k] for s in range(k)]
+    weight = np.array([fact[s] * fact[k - 1 - s] / fact[k] for s in range(k)])
     shares: dict[str, float] = {}
     for j in range(k):
-        bit = 1 << j
-        total = 0.0
-        for mask in range(1 << k):
-            if mask & bit:
-                continue
-            s = bin(mask).count("1")
-            total += weight[s] * (r2_by_mask[mask | bit] - r2_by_mask[mask])
-        shares[names[j]] = total
+        # Viewed as (2^(k-j-1), 2, 2^j), the middle axis is bit j: index 0
+        # holds the masks without predictor j, index 1 the same masks with it.
+        r2_j = r2.reshape(-1, 2, 1 << j)
+        size_j = sizes.reshape(-1, 2, 1 << j)[:, 0, :]
+        shares[names[j]] = float(np.sum(weight[size_j] * (r2_j[:, 1, :] - r2_j[:, 0, :])))
     return shares
 
 
@@ -537,7 +592,7 @@ def run_pipeline(
     if len(set(matrix.target)) < 2:
         raise ValueError("constant vector")
     r_by_name = bivariate_r(matrix)
-    filtered = bivariate_filter(matrix, r_threshold)
+    filtered = bivariate_filter(matrix, r_threshold, r_by_name)
     notes: list[str] = []
     # Listwise completion can starve the model when sparse per-type indices
     # pass the filter; exclude the sparsest candidates until enough complete

@@ -1,9 +1,15 @@
 import math
 import random
+from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
 
+from asc_toolkit import stats
 from asc_toolkit.stats import (
     FeatureMatrix,
     aic,
@@ -268,6 +274,65 @@ def test_aic_stepwise_fallback_used_above_exhaustive_cap():
     assert "a" in sel.best
 
 
+def lstsq_aic(x, y, subset):
+    """AIC of the intercept-plus-subset fit, by least squares on the design itself."""
+    a = np.column_stack([np.ones(len(y))] + [x[:, j] for j in subset])
+    resid = y - a @ np.linalg.lstsq(a, y, rcond=None)[0]
+    return aic(len(y), float(resid @ resid), len(subset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(3, 8),
+    extra_rows=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    const=st.sampled_from([0.0, 1.0, -2.5]),
+    chunk=st.integers(1, 7),
+)
+def test_aic_select_matches_brute_force_lstsq(k, extra_rows, seed, const, chunk):
+    # The last two columns are a copy of an earlier one and a constant, so
+    # some subsets are singular and their chunk is re-scored one by one.
+    rng = np.random.default_rng(seed)
+    n = k + extra_rows
+    x = rng.standard_normal((n, k))
+    x[:, k - 2] = x[:, rng.integers(0, k - 2)]
+    x[:, k - 1] = const
+    y = x[:, 0] + rng.standard_normal(n) * 1.5 + 3.0
+    names = [f"f{j}" for j in range(k)]
+    m = matrix_from({nm: x[:, j].tolist() for j, nm in enumerate(names)}, y.tolist())
+    with mock.patch.object(stats, "_CHUNK", chunk), mock.patch.object(
+        stats, "_subset_rss", wraps=stats._subset_rss
+    ) as fallback:
+        sel = aic_select(m)
+    assert sel.exhaustive and sel.n_models == 2**k
+    if const == 0.0:  # a zero column makes its subsets exactly singular
+        assert fallback.called
+
+    oracle = {
+        tuple(names[j] for j in s): lstsq_aic(x, y, s)
+        for size in range(k + 1)
+        for s in combinations(range(k), size)
+    }
+    best = min(oracle.values())
+    tol = lambda v: 1e-9 * max(1.0, abs(v))
+    # A model that only adds redundant columns sits at delta-AIC 2 per column,
+    # so some models lie on the delta = 4 boundary up to rounding: either
+    # side of it is right for them.
+    on_edge = lambda v: abs(v - best - 4.0) <= tol(v)
+    expected = sorted(
+        ((s, v) for s, v in oracle.items() if v - best < 4.0 and not on_edge(v)),
+        key=lambda item: (item[1], len(item[0]), item[0]),
+    )
+    got = [(s, v) for s, v in sel.candidates if not on_edge(oracle[s])]
+    assert len(got) == len(expected)
+    for (s, v), (want, want_aic) in zip(got, expected):
+        assert abs(v - oracle[s]) <= tol(oracle[s])
+        if s != want:  # only models tied in the oracle may trade places
+            assert len(s) == len(want)
+            assert abs(oracle[s] - want_aic) <= tol(want_aic)
+    assert sel.best == sel.candidates[0][0]
+
+
 # --- OLS --------------------------------------------------------------------
 
 
@@ -323,6 +388,49 @@ def test_ols_lmg_sums_to_r_squared_random_design():
     ]
     fit = ols_fit(matrix_from(cols, y))
     assert sum(fit.lmg_shares.values()) == pytest.approx(fit.r_squared, abs=1e-9)
+
+
+def lstsq_r_squared(x, y, subset):
+    a = np.column_stack([np.ones(len(y))] + [x[:, j] for j in subset])
+    resid = y - a @ np.linalg.lstsq(a, y, rcond=None)[0]
+    yc = y - y.mean()
+    return 1.0 - float(resid @ resid) / float(yc @ yc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(1, 5), extra_rows=st.integers(10, 60), seed=st.integers(0, 2**32 - 1))
+def test_lmg_shares_are_the_average_gain_over_orderings(k, extra_rows, seed):
+    rng = np.random.default_rng(seed)
+    n = k + extra_rows
+    x = rng.standard_normal((n, k))
+    y = x @ rng.uniform(-2.0, 2.0, k) + rng.standard_normal(n)
+    names = [f"f{j}" for j in range(k)]
+    r2 = {}
+    for size in range(k + 1):
+        for s in combinations(range(k), size):
+            r2[frozenset(s)] = lstsq_r_squared(x, y, s)
+    gains = [0.0] * k
+    orderings = list(permutations(range(k)))
+    for order in orderings:
+        entered = frozenset()
+        for j in order:
+            gains[j] += r2[entered | {j}] - r2[entered]
+            entered = entered | {j}
+    shares = stats._lmg_shares(x, y, names)
+    for j, name in enumerate(names):
+        assert abs(shares[name] - gains[j] / len(orderings)) <= 1e-12
+    assert abs(sum(shares.values()) - r2[frozenset(range(k))]) <= 1e-12
+
+
+def test_ols_p_values_equal_scipy_stats():
+    rng = random.Random(84)
+    n = 60
+    cols = {f"f{j}": [rng.gauss(0, 1) for _ in range(n)] for j in range(3)}
+    y = [0.4 * cols["f0"][i] + rng.gauss(0, 1) for i in range(n)]
+    fit = ols_fit(matrix_from(cols, y))
+    for label, p in fit.p_values.items():
+        assert p == float(2.0 * sps.t.sf(abs(fit.t_values[label]), fit.df_resid))
+    assert fit.f_p_value == float(sps.f.sf(fit.f_statistic, fit.df_model, fit.df_resid))
 
 
 def test_ols_residuals_orthogonal_to_predictors():
@@ -430,6 +538,15 @@ def test_run_pipeline_finds_planted_signal(tmp_path):
     report = format_report(result)
     assert "sig" in report
     assert "R^2" in report
+
+
+def test_run_pipeline_correlates_each_feature_once(tmp_path):
+    idx, sc = write_csvs(tmp_path)
+    m = load_feature_matrix(idx, sc)
+    with mock.patch.object(stats, "bivariate_r", wraps=stats.bivariate_r) as spy:
+        result = run_pipeline(m)
+    assert spy.call_count == 1
+    assert result.filtered == bivariate_filter(m)
 
 
 def test_run_pipeline_constant_target():
