@@ -156,28 +156,29 @@ def soa_indices(ascs: Sequence[AscToken], norm: NormTable) -> IndexVector:
     (a = 0); such tokens drop out of those means but still contribute to
     the delta-P means.  Empty means are None.
     """
-    per_token: list[tuple[str, dict[str, float | None]]] = []
+    # One list per metric, overall and per type, filled in token order so each
+    # mean sums the same values in the same order as a per-metric rescan.
+    overall: list[list[float]] = [[] for _ in SOA_METRICS]
+    by_type = {t: [[] for _ in SOA_METRICS] for t in ASC_TYPES}
+    scores: dict[tuple[str, str], tuple[float | None, ...]] = {}
     for tok in ascs:
-        cells = contingency(norm, tok.asc_type, tok.verb_lemma)
-        per_token.append(
-            (
-                tok.asc_type,
-                {
-                    "MI": mi(cells),
-                    "T": t_score(cells),
-                    "DeltaPLemma": dp_lemma(cells),
-                    "DeltaPStructure": dp_structure(cells),
-                },
-            )
-        )
+        key = (tok.asc_type, tok.verb_lemma)
+        vals = scores.get(key)
+        if vals is None:
+            cells = contingency(norm, tok.asc_type, tok.verb_lemma)
+            vals = scores[key] = (mi(cells), t_score(cells), dp_lemma(cells), dp_structure(cells))
+        typed = by_type.get(tok.asc_type, ())
+        for i, v in enumerate(vals):
+            if v is not None:
+                overall[i].append(v)
+                if typed:
+                    typed[i].append(v)
     out: IndexVector = {}
-    for m in SOA_METRICS:
-        out[f"ascAv{m}"] = _mean([vals[m] for _, vals in per_token if vals[m] is not None])
+    for m, values in zip(SOA_METRICS, overall):
+        out[f"ascAv{m}"] = _mean(values)
     for tag in ASC_TYPES:
-        for m in SOA_METRICS:
-            out[f"{tag}_Av{m}"] = _mean(
-                [vals[m] for t, vals in per_token if t == tag and vals[m] is not None]
-            )
+        for m, values in zip(SOA_METRICS, by_type[tag]):
+            out[f"{tag}_Av{m}"] = _mean(values)
     return out
 
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+# Word ids and heads are checked with str.isdecimal(), which accepts exactly
+# the characters \d matches; these two are tried only on other ids.
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
-_DIGITS = re.compile(r"^\d+$")  # word ids and heads
 
 
 class ConlluError(ValueError):
@@ -35,7 +36,13 @@ class Token:
 
 @dataclass(slots=True)
 class Sentence:
+    """Tokens in file order; deps maps a head id to its dependents, in token order.
+
+    Roots (head 0) appear in no deps list.
+    """
+
     tokens: list[Token]
+    deps: dict[int, list[Token]]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -75,25 +82,14 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
             raise ConlluError(
                 f"line {lineno}: malformed token line ({len(fields)} columns, expected 10)"
             )
-        tok_id = fields[0]
-        if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
-            continue
-        if not _DIGITS.match(tok_id):
+        tok_id, form, lemma, upos, _, _, head, deprel, _, _ = fields
+        if not tok_id.isdecimal():
+            if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
+                continue
             raise ConlluError(f"line {lineno}: malformed token line (non-integer id {tok_id!r})")
-        if not _DIGITS.match(fields[6]):
-            raise ConlluError(
-                f"line {lineno}: malformed token line (non-integer head {fields[6]!r})"
-            )
-        current.append(
-            Token(
-                id=int(tok_id),
-                form=fields[1],
-                lemma=fields[2],
-                upos=fields[3],
-                head=int(fields[6]),
-                deprel=fields[7],
-            )
-        )
+        if not head.isdecimal():
+            raise ConlluError(f"line {lineno}: malformed token line (non-integer head {head!r})")
+        current.append(Token(int(tok_id), form, lemma, upos, int(head), deprel))
     if current:
         sentences.append(_finish_sentence(current, len(sentences)))
     return Document(source_id=source_id, sentences=sentences)
@@ -107,27 +103,38 @@ def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Documen
 
 
 def _finish_sentence(tokens: list[Token], index: int) -> Sentence:
-    """Validate the head graph: unique ids, one root, valid heads, no cycles."""
-    head_of = {t.id: t.head for t in tokens}
-    if len(head_of) != len(tokens):
+    """Validate the head graph: unique ids, one root, valid heads, no cycles.
+
+    With unique ids, one root and every head present, the graph is a tree
+    exactly when a walk down the dependents from the root reaches every token.
+    """
+    deps: dict[int, list[Token]] = {}
+    roots: list[Token] = []
+    for t in tokens:
+        head = t.head
+        if head == 0:
+            roots.append(t)
+        elif head in deps:
+            deps[head].append(t)
+        else:
+            deps[head] = [t]
+    ids = {t.id for t in tokens}
+    if len(ids) != len(tokens):
         raise ConlluError(f"sentence {index}: duplicate token ids")
-    roots = [t for t in tokens if t.head == 0]
     if not roots:
         raise ConlluError(f"sentence {index}: headless sentence (no head=0 token)")
     if len(roots) > 1:
         raise ConlluError(f"sentence {index}: multiple root tokens")
-    for t in tokens:
-        if t.head != 0 and t.head not in head_of:
-            raise ConlluError(f"sentence {index}: head {t.head} points to missing token")
-    # Walk each token to the root; revisiting a node on the same walk is a cycle.
-    resolved: set[int] = set()
-    for t in tokens:
-        seen: set[int] = set()
-        node = t.id
-        while node != 0 and node not in resolved:
-            if node in seen:
-                raise ConlluError(f"sentence {index}: cyclic dependency structure")
-            seen.add(node)
-            node = head_of[node]
-        resolved |= seen
-    return Sentence(tokens=tokens)
+    if not ids.issuperset(deps):
+        # deps keys follow token order: the first one missing is the first
+        # missing head in token order.
+        head = next(h for h in deps if h not in ids)
+        raise ConlluError(f"sentence {index}: head {head} points to missing token")
+    reached = roots  # the root, then each token reached from it: grows while walked
+    for t in reached:
+        dependents = deps.get(t.id)
+        if dependents:
+            reached += dependents
+    if len(reached) != len(tokens):
+        raise ConlluError(f"sentence {index}: cyclic dependency structure")
+    return Sentence(tokens, deps)

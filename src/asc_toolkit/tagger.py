@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .ingest import Document, Sentence, Token
+from .ingest import Document, Sentence
 
 # The nine construction tags, alphabetical.  This order is canonical for all
 # per-type output columns.
@@ -67,6 +67,14 @@ def normalize_deprel(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
+class _DeprelMemo(dict):
+    """normalize_deprel, computed once per distinct relation label."""
+
+    def __missing__(self, deprel: str) -> str:
+        base = self[deprel] = normalize_deprel(deprel)
+        return base
+
+
 def tag_sentence(
     sentence: Sentence,
     sentence_index: int = 0,
@@ -79,21 +87,30 @@ def tag_sentence(
     overt subject (nsubj or nsubj:pass).  Conjoined predicates without their
     own subject therefore never match.
     """
-    deps_of: dict[int, list[Token]] = {}
-    for tok in sentence.tokens:
-        if tok.head != 0:
-            deps_of.setdefault(tok.head, []).append(tok)
+    return _tag_sentence(sentence, sentence_index, source_id, adverb_stoplist, _DeprelMemo())
 
+
+def _tag_sentence(
+    sentence: Sentence,
+    sentence_index: int,
+    source_id: str,
+    adverb_stoplist: frozenset[str],
+    base_rel: _DeprelMemo,
+) -> list[AscToken]:
     tags: list[AscToken] = []
+    deps_of = sentence.deps
     for tok in sentence.tokens:
-        deps = deps_of.get(tok.id, [])
-        rels = {normalize_deprel(d.deprel) for d in deps}
+        # A token without dependents has no subject and is never tagged.
+        deps = deps_of.get(tok.id)
+        if deps is None:
+            continue
+        rels = {base_rel[d.deprel] for d in deps}
         if tok.upos != "VERB" and "cop" not in rels:
             continue
         if "nsubj" not in rels and "nsubj:pass" not in rels:
             continue
-        has_result_adv = any(
-            normalize_deprel(d.deprel) == "advmod"
+        has_result_adv = "advmod" in rels and any(
+            base_rel[d.deprel] == "advmod"
             and d.upos == "ADV"
             and d.lemma.lower() not in adverb_stoplist
             for d in deps
@@ -103,7 +120,7 @@ def tag_sentence(
             continue
         if asc_type == "ATTR":
             cop = min(
-                (d for d in deps if normalize_deprel(d.deprel) == "cop"),
+                (d for d in deps if base_rel[d.deprel] == "cop"),
                 key=lambda d: d.id,
             )
             lemma = cop.lemma.lower()
@@ -154,8 +171,9 @@ def tag_document(
 ) -> list[AscToken]:
     """Concatenate tag_sentence output over the document, in sentence order."""
     tags: list[AscToken] = []
+    base_rel = _DeprelMemo()
     for i, sentence in enumerate(doc.sentences):
-        tags.extend(tag_sentence(sentence, i, doc.source_id, adverb_stoplist))
+        tags.extend(_tag_sentence(sentence, i, doc.source_id, adverb_stoplist, base_rel))
     return tags
 
 

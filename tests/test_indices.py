@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpusgen
+from asc_toolkit.cli import resolve_source
 from asc_toolkit.indices import (
     INDEX_NAMES,
     IndexConfig,
@@ -20,7 +23,7 @@ from asc_toolkit.indices import (
     t_score,
 )
 from asc_toolkit.ingest import Document, parse_conllu
-from asc_toolkit.norms import ContingencyCells, NormTable
+from asc_toolkit.norms import ContingencyCells, NormTable, contingency, load_norms
 from asc_toolkit.tagger import ASC_TYPES, AscToken, tag_document
 
 
@@ -231,6 +234,53 @@ def test_soa_unattested_pair_excluded_from_mi_t_only():
     dpl_eat = dp_lemma(ContingencyCells(8, 2, 2, 88))
     dpl_zzz = dp_lemma(ContingencyCells(0, 0, 10, 90))
     assert out["ascAvDeltaPLemma"] == pytest.approx((dpl_eat + dpl_zzz) / 2)
+
+
+def rescanned_soa(ascs, norm):
+    """soa_indices by its definition: score each token, then one scan per mean."""
+    per_token = []
+    for tok in ascs:
+        cells = contingency(norm, tok.asc_type, tok.verb_lemma)
+        per_token.append(
+            (
+                tok.asc_type,
+                {
+                    "MI": mi(cells),
+                    "T": t_score(cells),
+                    "DeltaPLemma": dp_lemma(cells),
+                    "DeltaPStructure": dp_structure(cells),
+                },
+            )
+        )
+
+    def mean(values):
+        return sum(values) / len(values) if values else None
+
+    out = {}
+    for m in ("MI", "T", "DeltaPLemma", "DeltaPStructure"):
+        out[f"ascAv{m}"] = mean([v[m] for _, v in per_token if v[m] is not None])
+    for tag in ASC_TYPES:
+        for m in ("MI", "T", "DeltaPLemma", "DeltaPStructure"):
+            out[f"{tag}_Av{m}"] = mean(
+                [v[m] for t, v in per_token if t == tag and v[m] is not None]
+            )
+    return out
+
+
+# Every corpusgen verb (swing and burst are missing from the demo table), a
+# lemma no table has, and a type outside the nine, which counts only overall.
+_LEMMAS = sorted({v for pool in corpusgen.VERBS.values() for v in pool} | {"zzz"})
+_TYPES = [*ASC_TYPES, "OTHER"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(_TYPES), st.sampled_from(_LEMMAS)), max_size=60))
+def test_soa_indices_equal_the_rescanning_definition(pairs):
+    norm = load_norms(resolve_source("demo"))
+    out = soa_indices(make_tags(pairs), norm)
+    expected = rescanned_soa(make_tags(pairs), norm)
+    assert len(expected) == 4 + 4 * len(ASC_TYPES)
+    assert out == expected  # exact: same values summed in the same order
 
 
 def test_compute_all_empty_document():

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asc_toolkit.ingest import ConlluError, parse_conllu, parse_conllu_file
+from asc_toolkit import cli
+from asc_toolkit.ingest import ConlluError, Token, _finish_sentence, parse_conllu, parse_conllu_file
 
 BARKED = """\
 1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_
@@ -131,3 +134,105 @@ def test_bom_prefixed_file_parses_like_the_plain_file(frames_dir, tmp_path):
     bom = tmp_path / "ditran.conllu"
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert parse_conllu_file(bom) == parse_conllu_file(plain)
+
+
+def test_non_decimal_unicode_digits_are_rejected_with_the_line():
+    # '²' is a digit to str.isdigit() but not a decimal, and int('²') fails.
+    good = "1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+    with pytest.raises(ConlluError, match=r"line 2: .*non-integer id '²'"):
+        parse_conllu(good + "²\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n")
+    with pytest.raises(ConlluError, match=r"line 2: .*non-integer head '²'"):
+        parse_conllu(good + "2\tdog\tdog\tNOUN\t_\t_\t²\troot\t_\t_\n")
+
+
+def test_decimal_digits_of_other_scripts_are_integers():
+    # Arabic-Indic one and two; \d and int() both accept them.
+    doc = parse_conllu(
+        "١\tThe\tthe\tDET\t_\t_\t٢\tdet\t_\t_\n"
+        "2\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n"
+    )
+    assert [(t.id, t.head) for t in doc.sentences[0].tokens] == [(1, 2), (2, 0)]
+
+
+def test_analyze_warns_about_a_superscript_id_and_goes_on(frames_dir, tmp_path, capsys):
+    inp = tmp_path / "in"
+    inp.mkdir()
+    (inp / "attr.conllu").write_bytes((frames_dir / "attr.conllu").read_bytes())
+    (inp / "sup.conllu").write_text(
+        "²\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n", encoding="utf-8"
+    )
+    out = tmp_path / "out.csv"
+    rc = cli.main(["analyze", "--input-dir", str(inp), "--output-csv", str(out), "--source", "demo"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "warning: sup.conllu: line 1: malformed token line (non-integer id '²')" in err
+    assert "analyzed 1 of 2 files, 1 warnings" in err
+
+
+def walk_oracle(tokens, index):
+    """The per-token cycle walk this validator replaced; the error text or None."""
+    head_of = {t.id: t.head for t in tokens}
+    if len(head_of) != len(tokens):
+        return f"sentence {index}: duplicate token ids"
+    roots = [t for t in tokens if t.head == 0]
+    if not roots:
+        return f"sentence {index}: headless sentence (no head=0 token)"
+    if len(roots) > 1:
+        return f"sentence {index}: multiple root tokens"
+    for t in tokens:
+        if t.head != 0 and t.head not in head_of:
+            return f"sentence {index}: head {t.head} points to missing token"
+    resolved = set()
+    for t in tokens:
+        seen = set()
+        node = t.id
+        while node != 0 and node not in resolved:
+            if node in seen:
+                return f"sentence {index}: cyclic dependency structure"
+            seen.add(node)
+            node = head_of[node]
+        resolved |= seen
+    return None
+
+
+@st.composite
+def head_graphs(draw):
+    """(ids, heads): random head arrays, or trees with at most one head changed.
+
+    Ids are 1..n, except that one may be redrawn from 0..n, which gives a
+    duplicate id or a token with id 0.  Heads n + 1 and n + 2 are missing tokens.
+    """
+    n = draw(st.integers(1, 8))
+    ids = list(range(1, n + 1))
+    if draw(st.booleans()):
+        ids[draw(st.integers(0, n - 1))] = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        heads = draw(st.lists(st.integers(0, n + 2), min_size=n, max_size=n))
+    else:
+        order = draw(st.permutations(range(n)))
+        heads = [0] * n
+        for rank, i in enumerate(order[1:], start=1):
+            heads[i] = ids[order[draw(st.integers(0, rank - 1))]]
+        if draw(st.booleans()):
+            heads[draw(st.integers(0, n - 1))] = draw(st.integers(0, n + 2))
+    return ids, heads
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=head_graphs(), index=st.integers(0, 5))
+def test_validator_agrees_with_the_cycle_walk(graph, index):
+    ids, heads = graph
+    tokens = [Token(i, f"w{i}", f"w{i}", "NOUN", h, "dep") for i, h in zip(ids, heads)]
+    expected = walk_oracle(tokens, index)
+    if expected is not None:
+        with pytest.raises(ConlluError) as err:
+            _finish_sentence(tokens, index)
+        assert str(err.value) == expected
+        return
+    sentence = _finish_sentence(tokens, index)
+    assert sentence.tokens == tokens
+    deps = {}
+    for t in tokens:
+        if t.head != 0:
+            deps.setdefault(t.head, []).append(t)
+    assert sentence.deps == deps

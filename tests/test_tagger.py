@@ -1,5 +1,10 @@
+import random
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpusgen
 from asc_toolkit.ingest import Document, parse_conllu, parse_conllu_file
 from asc_toolkit.tagger import (
     ASC_TYPES,
@@ -212,3 +217,49 @@ def test_debug_lines_format():
     doc = parse_conllu(DITRAN_SENT, source_id="f.conllu")
     lines = list(debug_lines(tag_document(doc)))
     assert lines == ["f.conllu\t0\t2\tDITRAN\tgive"]
+
+
+def _extra_line(kind: str, word_id: int) -> str:
+    """A line the parser must drop: comment, multiword range or empty node.
+
+    The range and the empty node carry a root head and a subject relation, so
+    either one read as a word would change the tags or fail validation.
+    """
+    if kind == "comment":
+        return f"# note {word_id}"
+    if kind == "range":
+        return f"{word_id}-{word_id + 1}\tgonna\t_\t_\t_\t_\t_\t_\t_\t_"
+    return f"{word_id}.1\tghost\tghost\tVERB\t_\t_\t0\tnsubj\t_\t_"
+
+
+@st.composite
+def decorated_corpora(draw):
+    """(plain, decorated): corpusgen sentences, and the same with extra lines."""
+    plain, decorated = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        asc_type = draw(st.sampled_from(sorted(corpusgen.VERBS)))
+        block = corpusgen.make_sentence(random.Random(draw(st.integers(0, 999))), asc_type)
+        lines = block.splitlines()
+        extras = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(lines)), st.sampled_from(["comment", "range", "empty"])
+                ),
+                max_size=4,
+            )
+        )
+        out = list(lines)
+        for pos, kind in sorted(extras, reverse=True):
+            out.insert(pos, _extra_line(kind, max(pos, 1)))
+        plain.append("\n".join(lines) + "\n")
+        decorated.append("\n".join(out) + "\n")
+    return "\n".join(plain), "\n".join(decorated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora=decorated_corpora())
+def test_tags_ignore_comments_ranges_and_empty_nodes(corpora):
+    plain, decorated = corpora
+    expected = list(debug_lines(tag_document(parse_conllu(plain, "t"))))
+    assert list(debug_lines(tag_document(parse_conllu(decorated, "t")))) == expected
+    assert len(expected) == plain.count("\n\n") + 1  # one tag per template sentence
