@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from functools import reduce
+from itertools import accumulate
+from operator import add, sub
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .ingest import Document
 from .norms import ContingencyCells, NormTable, contingency
@@ -65,27 +68,56 @@ def mattr(seq: Sequence[Hashable], w: int) -> float | None:
     n = len(seq)
     if n < w + 1:
         return None
-    counts: Counter[Hashable] = Counter(seq[:w])
-    acc = len(counts) / w
-    for i in range(1, n - w + 1):
-        out_sym = seq[i - 1]
-        counts[out_sym] -= 1
-        if counts[out_sym] == 0:
-            del counts[out_sym]
-        counts[seq[i + w - 1]] += 1
-        acc += len(counts) / w
-    return acc / (n - w + 1)
+    ratio = [d / w for d in range(w + 1)]
+    # reduce adds left to right, as a running `acc +=` does (sum need not).
+    return reduce(add, map(ratio.__getitem__, _window_types(seq, w))) / (n - w + 1)
+
+
+def _window_types(seq: Sequence[Hashable], w: int) -> Iterator[int]:
+    """The number of distinct symbols in each w-wide window of seq, left to right.
+
+    Needs len(seq) >= w.
+    """
+    n = len(seq)
+    # near[k]: seq[k] also occurs within the w - 1 places before k;
+    # stays[j]: seq[j] occurs again within the w - 1 places after j.
+    # Sliding the window one place drops seq[i - 1], which leaves a type
+    # unless stays[i - 1], and takes in seq[i + w - 1], a new type unless
+    # near[i + w - 1]; so the count moves by stays - near.
+    near = bytearray(n)
+    stays = bytearray(n)
+    last: dict[Hashable, int] = {}
+    for k, sym in enumerate(seq):
+        j = last.get(sym)
+        if j is not None and k - j < w:
+            near[k] = stays[j] = 1
+        last[sym] = k
+    return accumulate(map(sub, stays[: n - w], near[w:]), initial=w - sum(near[:w]))
+
+
+def _diversity(
+    types: list[str], pairs: list[tuple[str, str]], no_be: list[tuple[str, str]], w: int
+) -> IndexVector:
+    return {
+        "ascMATTR": mattr(types, w),
+        "ascLemmaMATTR": mattr(pairs, w),
+        "ascLemmaMATTRNoBe": mattr(no_be, w),
+    }
+
+
+def _sequences(
+    ascs: Sequence[AscToken], be_lemmas: frozenset[str]
+) -> tuple[list[str], list[tuple[str, str]], list[tuple[str, str]]]:
+    """The tag sequence, the (tag, lemma) sequence, and the latter without be."""
+    types = [t.asc_type for t in ascs]
+    pairs = [(t.asc_type, t.verb_lemma) for t in ascs]
+    no_be = [p for p in pairs if p[1] not in be_lemmas]
+    return types, pairs, no_be
 
 
 def diversity_indices(ascs: Sequence[AscToken], cfg: IndexConfig) -> IndexVector:
     """MATTR over tags, over (tag, lemma) pairs, and over pairs excluding be."""
-    pairs = [t.pair() for t in ascs]
-    no_be = [t.pair() for t in ascs if t.verb_lemma not in cfg.be_lemmas]
-    return {
-        "ascMATTR": mattr([t.asc_type for t in ascs], cfg.window),
-        "ascLemmaMATTR": mattr(pairs, cfg.window),
-        "ascLemmaMATTRNoBe": mattr(no_be, cfg.window),
-    }
+    return _diversity(*_sequences(ascs, cfg.be_lemmas), cfg.window)
 
 
 def proportion_indices(ascs: Sequence[AscToken]) -> IndexVector:
@@ -194,15 +226,11 @@ def compute_from_tags(
     """Fill the full canonical index vector from an already-tagged token list."""
     if cfg is None:
         cfg = IndexConfig()
-    values: IndexVector = {}
-    values.update(diversity_indices(tags, cfg))
+    types, pairs, no_be = _sequences(tags, cfg.be_lemmas)
+    values = _diversity(types, pairs, no_be, cfg.window)
     values.update(proportion_indices(tags))
-    values["ascAvFreq"] = frequency_index(
-        [t.asc_type for t in tags], norm.type_counts, cfg.min_ref_freq
-    )
-    values["ascLemmaAvFreq"] = frequency_index(
-        [t.pair() for t in tags], norm.pair_counts, cfg.min_ref_freq
-    )
+    values["ascAvFreq"] = frequency_index(types, norm.type_counts, cfg.min_ref_freq)
+    values["ascLemmaAvFreq"] = frequency_index(pairs, norm.pair_counts, cfg.min_ref_freq)
     values.update(soa_indices(tags, norm))
     return {name: values[name] for name in INDEX_NAMES}
 

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-# Word ids and heads are checked with str.isdecimal(), which accepts exactly
-# the characters \d matches; these two are tried only on other ids.
+# Word ids and heads up to 1023 are read through this table.  Any other is
+# checked with str.isdecimal(), which accepts exactly the characters \d
+# matches, and read with int(); the two patterns are tried only on a
+# non-decimal id.
+_SMALL_INTS = {str(i): i for i in range(1024)}
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
 
@@ -36,13 +39,14 @@ class Token:
 
 @dataclass(slots=True)
 class Sentence:
-    """Tokens in file order; deps maps a head id to its dependents, in token order.
+    """Tokens in file order, token k having id k + 1.
 
-    Roots (head 0) appear in no deps list.
+    deps[h] lists the dependents of the token with id h, in token order, or
+    is None if it has none; deps[0] is None, since roots appear in no list.
     """
 
     tokens: list[Token]
-    deps: dict[int, list[Token]]
+    deps: list[list[Token] | None]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -60,9 +64,10 @@ class Document:
 def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Document:
     """Parse a CoNLL-U character stream into a Document.
 
-    Token lines must have exactly 10 tab-separated columns; multiword-token
-    ranges ("3-4") and empty nodes ("3.1") are dropped.  Comment lines and
-    columns other than ID/FORM/LEMMA/UPOS/HEAD/DEPREL are ignored.
+    Token lines must have exactly 10 tab-separated columns, and the word ids
+    of a sentence must run 1, 2, ..., n in order; multiword-token ranges
+    ("3-4") and empty nodes ("3.1") are dropped.  Comment lines and columns
+    other than ID/FORM/LEMMA/UPOS/HEAD/DEPREL are ignored.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -83,13 +88,25 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
                 f"line {lineno}: malformed token line ({len(fields)} columns, expected 10)"
             )
         tok_id, form, lemma, upos, _, _, head, deprel, _, _ = fields
-        if not tok_id.isdecimal():
-            if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
-                continue
-            raise ConlluError(f"line {lineno}: malformed token line (non-integer id {tok_id!r})")
-        if not head.isdecimal():
-            raise ConlluError(f"line {lineno}: malformed token line (non-integer head {head!r})")
-        current.append(Token(int(tok_id), form, lemma, upos, int(head), deprel))
+        word_id = _SMALL_INTS.get(tok_id)
+        if word_id is None:
+            if not tok_id.isdecimal():
+                if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
+                    continue
+                raise ConlluError(
+                    f"line {lineno}: malformed token line (non-integer id {tok_id!r})"
+                )
+            word_id = int(tok_id)
+        head_id = _SMALL_INTS.get(head)
+        if head_id is None:
+            if not head.isdecimal():
+                raise ConlluError(
+                    f"line {lineno}: malformed token line (non-integer head {head!r})"
+                )
+            head_id = int(head)
+        if word_id != len(current) + 1:
+            raise ConlluError(f"line {lineno}: word id {word_id}, expected {len(current) + 1}")
+        current.append(Token(word_id, form, lemma, upos, head_id, deprel))
     if current:
         sentences.append(_finish_sentence(current, len(sentences)))
     return Document(source_id=source_id, sentences=sentences)
@@ -103,38 +120,38 @@ def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Documen
 
 
 def _finish_sentence(tokens: list[Token], index: int) -> Sentence:
-    """Validate the head graph: unique ids, one root, valid heads, no cycles.
+    """Validate the head graph of tokens with ids 1..n: one root, heads in range, no cycles.
 
-    With unique ids, one root and every head present, the graph is a tree
-    exactly when a walk down the dependents from the root reaches every token.
+    With one root and every head in range, the graph is a tree exactly when
+    a walk down the dependents from the root reaches every token.
     """
-    deps: dict[int, list[Token]] = {}
+    n = len(tokens)
+    deps: list[list[Token] | None] = [None] * (n + 1)
     roots: list[Token] = []
+    missing = None  # the first head in token order that names no token
     for t in tokens:
         head = t.head
         if head == 0:
             roots.append(t)
-        elif head in deps:
-            deps[head].append(t)
-        else:
-            deps[head] = [t]
-    ids = {t.id for t in tokens}
-    if len(ids) != len(tokens):
-        raise ConlluError(f"sentence {index}: duplicate token ids")
+        elif head <= n:
+            dependents = deps[head]
+            if dependents is None:
+                deps[head] = [t]
+            else:
+                dependents.append(t)
+        elif missing is None:
+            missing = head
     if not roots:
         raise ConlluError(f"sentence {index}: headless sentence (no head=0 token)")
     if len(roots) > 1:
         raise ConlluError(f"sentence {index}: multiple root tokens")
-    if not ids.issuperset(deps):
-        # deps keys follow token order: the first one missing is the first
-        # missing head in token order.
-        head = next(h for h in deps if h not in ids)
-        raise ConlluError(f"sentence {index}: head {head} points to missing token")
+    if missing is not None:
+        raise ConlluError(f"sentence {index}: head {missing} points to missing token")
     reached = roots  # the root, then each token reached from it: grows while walked
     for t in reached:
-        dependents = deps.get(t.id)
+        dependents = deps[t.id]
         if dependents:
             reached += dependents
-    if len(reached) != len(tokens):
+    if len(reached) != n:
         raise ConlluError(f"sentence {index}: cyclic dependency structure")
     return Sentence(tokens, deps)

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import fdtrc, stdtr
 
 # Guard for log(RSS/n) on numerically perfect fits.
 _TINY_RSS = 1e-300
@@ -387,6 +386,9 @@ class RegressionSummary:
 
 def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> RegressionSummary:
     """Least-squares fit of the target on the named features plus an intercept."""
+    # Imported here so that commands which never fit a model skip loading it.
+    from scipy.special import fdtrc, stdtr
+
     names = list(matrix.names if names is None else names)
     x, y, _ = matrix.complete(names)
     n, k = x.shape

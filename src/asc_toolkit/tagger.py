@@ -98,10 +98,8 @@ def _tag_sentence(
     base_rel: _DeprelMemo,
 ) -> list[AscToken]:
     tags: list[AscToken] = []
-    deps_of = sentence.deps
-    for tok in sentence.tokens:
+    for tok, deps in zip(sentence.tokens, sentence.deps[1:]):
         # A token without dependents has no subject and is never tagged.
-        deps = deps_of.get(tok.id)
         if deps is None:
             continue
         rels = {base_rel[d.deprel] for d in deps}

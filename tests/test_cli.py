@@ -2,6 +2,8 @@ import os
 import random
 import shutil
 import stat
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -457,6 +459,35 @@ def test_stats_composite_option(tmp_path):
     )
     assert rc == 0
     assert report.exists()
+
+
+def test_scipy_special_loads_only_when_stats_fits(frames_dir, tmp_path):
+    idx, sc = write_stats_csvs(tmp_path)
+    script = f"""
+import sys
+from asc_toolkit import cli
+runs = [
+    ["analyze", "--input-dir", {str(frames_dir)!r}, "--output-csv", {str(tmp_path / "a.csv")!r},
+     "--source", "demo"],
+    ["build-norms", "--corpus-dir", {str(frames_dir)!r}, "--out", {str(tmp_path / "n.tsv")!r}],
+    ["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(sc)!r},
+     "--report", {str(tmp_path / "r.txt")!r}],
+]
+for args in runs:
+    assert cli.main(args) == 0, args
+    print(args[0], "scipy.special" in sys.modules, file=sys.stderr)
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-3:] == [
+        "analyze False",
+        "build-norms False",
+        "stats True",
+    ]
 
 
 @pytest.mark.parametrize(

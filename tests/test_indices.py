@@ -10,6 +10,7 @@ from asc_toolkit.cli import resolve_source
 from asc_toolkit.indices import (
     INDEX_NAMES,
     IndexConfig,
+    _window_types,
     compute_all,
     compute_from_tags,
     diversity_indices,
@@ -72,6 +73,14 @@ def test_mattr_matches_oracle_bitwise():
         w = rng.randint(2, 12)
         seq = [rng.randrange(alphabet) for _ in range(n)]
         assert mattr(seq, w) == naive_mattr(seq, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), alphabet=st.integers(1, 20), w=st.integers(2, 15))
+def test_window_type_counts_equal_a_set_per_window(data, alphabet, w):
+    n = data.draw(st.integers(w + 1, 200))
+    seq = data.draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    assert list(_window_types(seq, w)) == [len(set(seq[i : i + w])) for i in range(n - w + 1)]
 
 
 def test_diversity_single_type():

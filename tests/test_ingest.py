@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asc_toolkit import cli
-from asc_toolkit.ingest import ConlluError, Token, _finish_sentence, parse_conllu, parse_conllu_file
+from asc_toolkit.ingest import ConlluError, Token, parse_conllu, parse_conllu_file
 
 BARKED = """\
 1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_
@@ -169,8 +169,14 @@ def test_analyze_warns_about_a_superscript_id_and_goes_on(frames_dir, tmp_path, 
     assert "analyzed 1 of 2 files, 1 warnings" in err
 
 
-def walk_oracle(tokens, index):
-    """The per-token cycle walk this validator replaced; the error text or None."""
+def walk_oracle(tokens, index, first_line=1):
+    """The word-id rule, then the per-token cycle walk; the error text or None.
+
+    tokens[k] sits on line first_line + k.
+    """
+    for k, t in enumerate(tokens, start=1):
+        if t.id != k:
+            return f"line {first_line + k - 1}: word id {t.id}, expected {k}"
     head_of = {t.id: t.head for t in tokens}
     if len(head_of) != len(tokens):
         return f"sentence {index}: duplicate token ids"
@@ -195,17 +201,41 @@ def walk_oracle(tokens, index):
     return None
 
 
+def test_word_ids_must_run_from_one_in_order():
+    she = "She\tshe\tPRON\t_\t_\t{head}\tnsubj\t_\t_\n"
+    slept = "slept\tsleep\tVERB\t_\t_\t0\troot\t_\t_\n"
+    with pytest.raises(ConlluError, match=r"^line 1: word id 0, expected 1$"):
+        parse_conllu("0\t" + she.format(head=1) + "1\t" + slept)
+    with pytest.raises(ConlluError, match=r"^line 3: word id 7, expected 2$"):
+        parse_conllu("# text\n1\t" + she.format(head=7) + "7\t" + slept)
+    # A range or an empty node does not take a word id.
+    doc = parse_conllu(
+        "1-2\tShe's\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        + ("1\t" + she.format(head=2))
+        + ("1.1\t" + slept)
+        + ("2\t" + slept)
+    )
+    assert [t.id for t in doc.sentences[0].tokens] == [1, 2]
+    # Ids and heads past the small-integer table take the same rule.
+    chain = [f"{i}\tw\tw\tNOUN\t_\t_\t{i - 1}\tdep\t_\t_\n" for i in range(1, 1101)]
+    tokens = parse_conllu("".join(chain)).sentences[0].tokens
+    assert [(t.id, t.head) for t in tokens[-2:]] == [(1099, 1098), (1100, 1099)]
+    with pytest.raises(ConlluError, match=r"^line 1050: word id 1051, expected 1050$"):
+        parse_conllu("".join(chain[:1049] + chain[1050:]))
+
+
 @st.composite
 def head_graphs(draw):
     """(ids, heads): random head arrays, or trees with at most one head changed.
 
-    Ids are 1..n, except that one may be redrawn from 0..n, which gives a
-    duplicate id or a token with id 0.  Heads n + 1 and n + 2 are missing tokens.
+    Ids are 1..n, except that one may be redrawn from 0..n + 1, which gives a
+    duplicate id, a gap or a token with id 0, each of which breaks the word-id
+    rule.  Heads n + 1 and n + 2 are missing tokens.
     """
     n = draw(st.integers(1, 8))
     ids = list(range(1, n + 1))
     if draw(st.booleans()):
-        ids[draw(st.integers(0, n - 1))] = draw(st.integers(0, n))
+        ids[draw(st.integers(0, n - 1))] = draw(st.integers(0, n + 1))
     if draw(st.booleans()):
         heads = draw(st.lists(st.integers(0, n + 2), min_size=n, max_size=n))
     else:
@@ -223,16 +253,21 @@ def head_graphs(draw):
 def test_validator_agrees_with_the_cycle_walk(graph, index):
     ids, heads = graph
     tokens = [Token(i, f"w{i}", f"w{i}", "NOUN", h, "dep") for i, h in zip(ids, heads)]
-    expected = walk_oracle(tokens, index)
+    # index well-formed sentences of 4 lines and a blank come first.
+    text = (BARKED + "\n") * index + "".join(
+        f"{t.id}\t{t.form}\t{t.lemma}\t{t.upos}\t_\t_\t{t.head}\t{t.deprel}\t_\t_\n"
+        for t in tokens
+    )
+    expected = walk_oracle(tokens, index, first_line=5 * index + 1)
     if expected is not None:
         with pytest.raises(ConlluError) as err:
-            _finish_sentence(tokens, index)
+            parse_conllu(text)
         assert str(err.value) == expected
         return
-    sentence = _finish_sentence(tokens, index)
+    sentence = parse_conllu(text).sentences[index]
     assert sentence.tokens == tokens
-    deps = {}
+    deps = [None] * (len(tokens) + 1)
     for t in tokens:
         if t.head != 0:
-            deps.setdefault(t.head, []).append(t)
+            deps[t.head] = (deps[t.head] or []) + [t]
     assert sentence.deps == deps
