@@ -98,8 +98,10 @@ def _tag_sentence(
     base_rel: _DeprelMemo,
 ) -> list[AscToken]:
     tags: list[AscToken] = []
-    for tok, deps in zip(sentence.tokens, sentence.deps[1:]):
+    deps_of = sentence.deps
+    for tok in sentence.tokens:
         # A token without dependents has no subject and is never tagged.
+        deps = deps_of[tok.id]
         if deps is None:
             continue
         rels = {base_rel[d.deprel] for d in deps}
