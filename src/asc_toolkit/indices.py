@@ -42,12 +42,14 @@ INDEX_NAMES: tuple[str, ...] = _build_index_names()
 # An index vector maps every canonical name to a float or None (missing).
 IndexVector = dict[str, "float | None"]
 
+# Lemmas left out of ascLemmaMATTRNoBe.
+BE_LEMMAS = frozenset({"be"})
+
 
 @dataclass(slots=True)
 class IndexConfig:
     window: int = 11
     min_ref_freq: int = 5
-    be_lemmas: frozenset[str] = frozenset({"be"})
 
     def __post_init__(self) -> None:
         if self.window < 2:
@@ -106,18 +108,18 @@ def _diversity(
 
 
 def _sequences(
-    ascs: Sequence[AscToken], be_lemmas: frozenset[str]
+    ascs: Sequence[AscToken],
 ) -> tuple[list[str], list[tuple[str, str]], list[tuple[str, str]]]:
     """The tag sequence, the (tag, lemma) sequence, and the latter without be."""
     types = [t.asc_type for t in ascs]
     pairs = [(t.asc_type, t.verb_lemma) for t in ascs]
-    no_be = [p for p in pairs if p[1] not in be_lemmas]
+    no_be = [p for p in pairs if p[1] not in BE_LEMMAS]
     return types, pairs, no_be
 
 
 def diversity_indices(ascs: Sequence[AscToken], cfg: IndexConfig) -> IndexVector:
     """MATTR over tags, over (tag, lemma) pairs, and over pairs excluding be."""
-    return _diversity(*_sequences(ascs, cfg.be_lemmas), cfg.window)
+    return _diversity(*_sequences(ascs), cfg.window)
 
 
 def proportion_indices(ascs: Sequence[AscToken]) -> IndexVector:
@@ -226,7 +228,7 @@ def compute_from_tags(
     """Fill the full canonical index vector from an already-tagged token list."""
     if cfg is None:
         cfg = IndexConfig()
-    types, pairs, no_be = _sequences(tags, cfg.be_lemmas)
+    types, pairs, no_be = _sequences(tags)
     values = _diversity(types, pairs, no_be, cfg.window)
     values.update(proportion_indices(tags))
     values["ascAvFreq"] = frequency_index(types, norm.type_counts, cfg.min_ref_freq)

@@ -1,8 +1,8 @@
 """Reference-corpus frequency norms for construction types and verb lemmas.
 
 A NormTable stores how often each (construction, lemma) pair occurs in a
-tagged reference corpus, together with the marginals needed to build the
-2x2 contingency table behind every association score.
+tagged reference corpus, together with the marginals, derived from those
+counts, that build the 2x2 contingency table behind every association score.
 """
 
 from __future__ import annotations
@@ -43,19 +43,28 @@ class ContingencyCells:
 
 @dataclass
 class NormTable:
+    """Pair counts of a reference corpus; the marginals are derived from them.
+
+    type_counts, lemma_counts and total are the per-construction and
+    per-lemma sums of pair_counts and their total, set on construction.
+    """
+
     pair_counts: dict[tuple[str, str], int]
-    type_counts: dict[str, int] = field(default_factory=dict)
-    lemma_counts: dict[str, int] = field(default_factory=dict)
-    total: int = 0
+    type_counts: dict[str, int] = field(init=False)
+    lemma_counts: dict[str, int] = field(init=False)
+    total: int = field(init=False)
     source: str = ""
     version: str = NORM_FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if not self.type_counts and not self.lemma_counts and self.total == 0:
-            self.type_counts, self.lemma_counts, self.total = _marginals(self.pair_counts)
-        self.validate()
-
-    def validate(self) -> None:
+        type_counts: Counter[str] = Counter()
+        lemma_counts: Counter[str] = Counter()
+        for (c, v), n in self.pair_counts.items():
+            type_counts[c] += n
+            lemma_counts[v] += n
+        self.type_counts = dict(type_counts)
+        self.lemma_counts = dict(lemma_counts)
+        self.total = sum(self.pair_counts.values())
         if not self.pair_counts or self.total < 1:
             raise NormTableError("empty norm table")
         for (c, v), n in self.pair_counts.items():
@@ -63,23 +72,6 @@ class NormTable:
                 raise NormTableError(f"inconsistent norm table: count {n} for ({c}, {v})")
             if c not in ASC_TYPES:
                 raise NormTableError(f"inconsistent norm table: unknown construction tag {c!r}")
-        type_counts, lemma_counts, total = _marginals(self.pair_counts)
-        if type_counts != self.type_counts or lemma_counts != self.lemma_counts:
-            raise NormTableError("inconsistent norm table: marginals disagree with pair counts")
-        if total != self.total:
-            raise NormTableError("inconsistent norm table: total disagrees with pair counts")
-
-
-def _marginals(
-    pair_counts: dict[tuple[str, str], int],
-) -> tuple[dict[str, int], dict[str, int], int]:
-    """Per-construction and per-lemma sums of the pair counts, and their total."""
-    type_counts: Counter[str] = Counter()
-    lemma_counts: Counter[str] = Counter()
-    for (c, v), n in pair_counts.items():
-        type_counts[c] += n
-        lemma_counts[v] += n
-    return dict(type_counts), dict(lemma_counts), sum(pair_counts.values())
 
 
 def build_norms(

@@ -27,6 +27,12 @@ MAX_CANDIDATES = 25
 # LMG needs R^2 for every predictor subset; cap where 2^k stays cheap.
 MAX_LMG_PREDICTORS = 15
 
+# AIC selection reports every model within this distance of the best.
+AIC_DELTA = 4.0
+
+# The column that joins the indices CSV to the scores CSV.
+JOIN_COLUMN = "filename"
+
 # Subsets per batched solve in _all_subset_rss: enough to spread numpy's
 # per-call cost, few enough that a chunk's Gram submatrices stay a few MB.
 _CHUNK = 2000
@@ -40,19 +46,21 @@ class FeatureMatrix:
 
     Missing feature cells are None; the target is always present.  Rows with
     missing values in the columns a given operation uses are dropped there.
+    names lists the columns in order.
     """
 
     ids: list[str]
-    names: list[str]
     columns: dict[str, list[float | None]]
     target: list[float]
+    names: list[str] = field(init=False)
 
     def __post_init__(self) -> None:
+        self.names = list(self.columns)
         n = len(self.target)
         if len(self.ids) != n:
             raise ValueError("ids and target lengths disagree")
-        for name in self.names:
-            if len(self.columns[name]) != n:
+        for name, column in self.columns.items():
+            if len(column) != n:
                 raise ValueError(f"column {name} has wrong length")
 
     def n_rows(self) -> int:
@@ -76,7 +84,6 @@ class FeatureMatrix:
         keep = [i for i in range(self.n_rows()) if all(c[i] is not None for c in cols)]
         return FeatureMatrix(
             ids=[self.ids[i] for i in keep],
-            names=list(names),
             columns={n: [self.columns[n][i] for i in keep] for n in names},
             target=[self.target[i] for i in keep],
         )
@@ -128,26 +135,16 @@ def bivariate_r(matrix: FeatureMatrix) -> dict[str, float | None]:
     return out
 
 
-def bivariate_filter(
-    matrix: FeatureMatrix,
-    threshold: float = 0.10,
-    r_by_name: dict[str, float | None] | None = None,
-) -> list[str]:
+def bivariate_filter(r_by_name: dict[str, float | None], threshold: float = 0.10) -> list[str]:
     """Keep features with |r| >= threshold, then prune association families.
 
-    Within each association family (the four aggregate metrics form one
-    family; each type-specific metric quadruple forms another) only the
-    member most strongly correlated with the target survives.  Ties keep the
-    earlier column.  r_by_name, if given, is bivariate_r(matrix) already
-    computed.
+    r_by_name is bivariate_r of a matrix, in column order.  Within each
+    association family (the four aggregate metrics form one family; each
+    type-specific metric quadruple forms another) only the member most
+    strongly correlated with the target survives.  Ties keep the earlier
+    column.
     """
-    if r_by_name is None:
-        r_by_name = bivariate_r(matrix)
-    passed = [
-        n
-        for n in matrix.names
-        if r_by_name[n] is not None and abs(r_by_name[n]) >= threshold
-    ]
+    passed = [n for n, r in r_by_name.items() if r is not None and abs(r) >= threshold]
     best_in_family: dict[str, str] = {}
     for n in passed:
         fam = soa_family(n)
@@ -215,7 +212,7 @@ def aic(n: int, rss: float, k: int) -> float:
 class AicSelection:
     best: tuple[str, ...]
     best_aic: float
-    # All inspected subsets within delta-AIC < 4 of the minimum, best first.
+    # All inspected subsets within AIC_DELTA of the minimum, best first.
     candidates: list[tuple[tuple[str, ...], float]]
     n_obs: int
     n_models: int
@@ -272,12 +269,8 @@ def _all_subset_rss(
     return rss
 
 
-def aic_select(
-    matrix: FeatureMatrix,
-    names: list[str] | None = None,
-    delta: float = 4.0,
-) -> AicSelection:
-    """Best-subset selection by AIC, returning every model within delta of the best.
+def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSelection:
+    """Best-subset selection by AIC, returning every model within AIC_DELTA of the best.
 
     Exhaustive over all 2^k subsets for k <= MAX_EXHAUSTIVE; beyond that the
     search is the union of models visited by greedy forward selection and
@@ -305,8 +298,8 @@ def aic_select(
         sizes = _bit_counts(np.arange(1 << k), k)
         screen = n * np.log(np.maximum(rss, _TINY_RSS) / n) + 2 * (sizes + 2)
         # np.log and math.log may differ in the last bit: the margin keeps
-        # every model within delta, and aic() then scores those exactly.
-        near = np.flatnonzero(screen - screen.min() < delta + 1e-6)
+        # every model within AIC_DELTA, and aic() then scores those exactly.
+        near = np.flatnonzero(screen - screen.min() < AIC_DELTA + 1e-6)
         scored = model_aics(near.tolist(), rss[near])
         n_models = 1 << k
     else:
@@ -319,7 +312,7 @@ def aic_select(
     best_subset = min(by_subset, key=lambda s: (by_subset[s], len(s), s))
     best_aic = by_subset[best_subset]
     within = sorted(
-        ((s, v) for s, v in by_subset.items() if v - best_aic < delta),
+        ((s, v) for s, v in by_subset.items() if v - best_aic < AIC_DELTA),
         key=lambda item: (item[1], len(item[0]), item[0]),
     )
     to_names = lambda s: tuple(names[j] for j in s)
@@ -490,15 +483,15 @@ def _csv_error(path: str | Path, line: int, column: str, problem: str) -> ValueE
 
 
 def _keyed_rows(
-    reader: csv.DictReader, path: str | Path, join_column: str
+    reader: csv.DictReader, path: str | Path
 ) -> Iterator[tuple[int, str, dict[str, str]]]:
     """(line, key, row) for each data row; a key seen twice is an error naming both lines."""
     first_line: dict[str, int] = {}
     for row in reader:
-        key = row[join_column]
+        key = row[JOIN_COLUMN]
         if key in first_line:
             problem = f"duplicate {key!r} (first at line {first_line[key]})"
-            raise _csv_error(path, reader.line_num, join_column, problem)
+            raise _csv_error(path, reader.line_num, JOIN_COLUMN, problem)
         first_line[key] = reader.line_num
         yield reader.line_num, key, row
 
@@ -521,9 +514,8 @@ def load_feature_matrix(
     scores_csv: str | Path,
     score_column: str = "score",
     composite_of: list[str] | None = None,
-    join_column: str = "filename",
 ) -> FeatureMatrix:
-    """Join an indices CSV with a scores CSV on filename.
+    """Join an indices CSV with a scores CSV on JOIN_COLUMN (filename).
 
     The target is either a single score column or the mean of the listed
     composite columns.  Rows without a usable score (blank or non-numeric)
@@ -535,13 +527,13 @@ def load_feature_matrix(
     scores: dict[str, float] = {}
     with open(scores_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or join_column not in reader.fieldnames:
-            raise ValueError(f"scores CSV lacks a {join_column!r} column")
+        if reader.fieldnames is None or JOIN_COLUMN not in reader.fieldnames:
+            raise ValueError(f"scores CSV lacks a {JOIN_COLUMN!r} column")
         wanted = composite_of if composite_of else [score_column]
         missing = [c for c in wanted if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"scores CSV lacks column(s): {', '.join(missing)}")
-        for line, key, row in _keyed_rows(reader, scores_csv, join_column):
+        for line, key, row in _keyed_rows(reader, scores_csv):
             try:
                 vals = [float(row[c]) for c in wanted]
             except (TypeError, ValueError):
@@ -556,11 +548,11 @@ def load_feature_matrix(
     columns: dict[str, list[float | None]] = {}
     with open(indices_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or join_column not in reader.fieldnames:
-            raise ValueError(f"indices CSV lacks a {join_column!r} column")
-        feature_names = [c for c in reader.fieldnames if c != join_column]
+        if reader.fieldnames is None or JOIN_COLUMN not in reader.fieldnames:
+            raise ValueError(f"indices CSV lacks a {JOIN_COLUMN!r} column")
+        feature_names = [c for c in reader.fieldnames if c != JOIN_COLUMN]
         columns = {n: [] for n in feature_names}
-        for line, key, row in _keyed_rows(reader, indices_csv, join_column):
+        for line, key, row in _keyed_rows(reader, indices_csv):
             values = [_index_value(row[n], indices_csv, line, n) for n in feature_names]
             if key not in scores:
                 continue
@@ -568,7 +560,7 @@ def load_feature_matrix(
             target.append(scores[key])
             for n, value in zip(feature_names, values):
                 columns[n].append(value)
-    return FeatureMatrix(ids=ids, names=feature_names, columns=columns, target=target)
+    return FeatureMatrix(ids=ids, columns=columns, target=target)
 
 
 @dataclass
@@ -594,7 +586,7 @@ def run_pipeline(
     if len(set(matrix.target)) < 2:
         raise ValueError("constant vector")
     r_by_name = bivariate_r(matrix)
-    filtered = bivariate_filter(matrix, r_threshold, r_by_name)
+    filtered = bivariate_filter(r_by_name, r_threshold)
     notes: list[str] = []
     # Listwise completion can starve the model when sparse per-type indices
     # pass the filter; exclude the sparsest candidates until enough complete
@@ -672,7 +664,7 @@ def format_report(result: PipelineResult) -> str:
         )
         lines.append(
             f"Model selection: {len(result.selection.candidates)} of "
-            f"{result.selection.n_models} models within delta-AIC < 4 "
+            f"{result.selection.n_models} models within delta-AIC < {AIC_DELTA:g} "
             f"(best AIC = {result.selection.best_aic:.3f})"
         )
     for note in result.notes:

@@ -28,7 +28,7 @@ ASC_TYPES = (
 )
 
 # Degree/negation/temporal adverbs never count as a result predicate.
-DEFAULT_ADVERB_STOPLIST = frozenset(
+ADVERB_STOPLIST = frozenset(
     {
         "not", "n't", "very", "too", "so", "just", "also",
         "then", "now", "here", "there", "always", "never", "often", "really",
@@ -76,10 +76,7 @@ class _DeprelMemo(dict):
 
 
 def tag_sentence(
-    sentence: Sentence,
-    sentence_index: int = 0,
-    source_id: str = "",
-    adverb_stoplist: frozenset[str] = DEFAULT_ADVERB_STOPLIST,
+    sentence: Sentence, sentence_index: int = 0, source_id: str = ""
 ) -> list[AscToken]:
     """Tag every qualifying predicate in one sentence, in token-id order.
 
@@ -87,14 +84,13 @@ def tag_sentence(
     overt subject (nsubj or nsubj:pass).  Conjoined predicates without their
     own subject therefore never match.
     """
-    return _tag_sentence(sentence, sentence_index, source_id, adverb_stoplist, _DeprelMemo())
+    return _tag_sentence(sentence, sentence_index, source_id, _DeprelMemo())
 
 
 def _tag_sentence(
     sentence: Sentence,
     sentence_index: int,
     source_id: str,
-    adverb_stoplist: frozenset[str],
     base_rel: _DeprelMemo,
 ) -> list[AscToken]:
     tags: list[AscToken] = []
@@ -112,7 +108,7 @@ def _tag_sentence(
         has_result_adv = "advmod" in rels and any(
             base_rel[d.deprel] == "advmod"
             and d.upos == "ADV"
-            and d.lemma.lower() not in adverb_stoplist
+            and d.lemma.lower() not in ADVERB_STOPLIST
             for d in deps
         )
         asc_type = _classify(rels, has_result_adv)
@@ -165,15 +161,12 @@ def _classify(rels: set[str], has_result_adv: bool) -> str | None:
     return None
 
 
-def tag_document(
-    doc: Document,
-    adverb_stoplist: frozenset[str] = DEFAULT_ADVERB_STOPLIST,
-) -> list[AscToken]:
+def tag_document(doc: Document) -> list[AscToken]:
     """Concatenate tag_sentence output over the document, in sentence order."""
     tags: list[AscToken] = []
     base_rel = _DeprelMemo()
     for i, sentence in enumerate(doc.sentences):
-        tags.extend(_tag_sentence(sentence, i, doc.source_id, adverb_stoplist, base_rel))
+        tags.extend(_tag_sentence(sentence, i, doc.source_id, base_rel))
     return tags
 
 

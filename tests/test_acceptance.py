@@ -21,6 +21,7 @@ from asc_toolkit.stats import (
     FeatureMatrix,
     aic_select,
     bivariate_filter,
+    bivariate_r,
     load_feature_matrix,
     ols_fit,
     run_pipeline,
@@ -189,11 +190,10 @@ def test_stats_recovery():
         columns[f"noise{j}"] = [rng.gauss(0, 1) for _ in range(n)]
     matrix = FeatureMatrix(
         ids=[f"t{i}" for i in range(n)],
-        names=list(columns),
         columns=columns,
         target=y,
     )
-    kept = bivariate_filter(matrix, 0.10)
+    kept = bivariate_filter(bivariate_r(matrix), 0.10)
     assert "a" in kept and "b" in kept
     selection = aic_select(matrix, list(matrix.names))
     assert set(selection.best) == {"a", "b"}

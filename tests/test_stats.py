@@ -26,12 +26,10 @@ from asc_toolkit.stats import (
 )
 
 
-def matrix_from(columns, target, names=None):
-    names = list(columns) if names is None else names
+def matrix_from(columns, target):
     n = len(target)
     return FeatureMatrix(
         ids=[f"t{i}" for i in range(n)],
-        names=names,
         columns={k: list(v) for k, v in columns.items()},
         target=list(target),
     )
@@ -109,7 +107,7 @@ def test_bivariate_threshold():
         "keep_neg": feature_with_r(rng, target, -0.22),
     }
     m = matrix_from(cols, target)
-    assert bivariate_filter(m, 0.10) == ["keep_me", "keep_neg"]
+    assert bivariate_filter(bivariate_r(m), 0.10) == ["keep_me", "keep_neg"]
 
 
 def test_bivariate_family_pruning():
@@ -124,7 +122,7 @@ def test_bivariate_family_pruning():
         "CAUS_MOT_Prop": feature_with_r(rng, target, 0.06),
     }
     m = matrix_from(cols, target)
-    assert bivariate_filter(m, 0.10) == ["ascMATTR", "TRAN_S_AvDeltaPStructure"]
+    assert bivariate_filter(bivariate_r(m), 0.10) == ["ascMATTR", "TRAN_S_AvDeltaPStructure"]
 
 
 def test_bivariate_family_keeps_only_strongest_of_several_passers():
@@ -136,7 +134,7 @@ def test_bivariate_family_keeps_only_strongest_of_several_passers():
         "PASSIVE_AvDeltaPLemma": feature_with_r(rng, target, 0.11),
     }
     m = matrix_from(cols, target)
-    assert bivariate_filter(m, 0.10) == ["PASSIVE_AvMI"]
+    assert bivariate_filter(bivariate_r(m), 0.10) == ["PASSIVE_AvMI"]
 
 
 def test_bivariate_r_handles_missing_cells():
@@ -226,7 +224,7 @@ def test_aic_select_recovers_planted_feature():
 
 def test_aic_select_no_candidates():
     rng = random.Random(1)
-    m = matrix_from({}, [rng.gauss(0, 1) for _ in range(30)], names=[])
+    m = matrix_from({}, [rng.gauss(0, 1) for _ in range(30)])
     sel = aic_select(m)
     assert sel.best == ()
     assert sel.candidates[0][0] == ()
@@ -546,7 +544,7 @@ def test_run_pipeline_correlates_each_feature_once(tmp_path):
     with mock.patch.object(stats, "bivariate_r", wraps=stats.bivariate_r) as spy:
         result = run_pipeline(m)
     assert spy.call_count == 1
-    assert result.filtered == bivariate_filter(m)
+    assert result.filtered == bivariate_filter(bivariate_r(m))
 
 
 def test_run_pipeline_constant_target():
