@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -124,12 +125,20 @@ def _format_cell(value: float | None) -> str:
     return "" if value is None else format(value, ".6g")
 
 
+def _parse(path: Path, key: str):
+    """parse_conllu_file, with a read, decode or parse error naming the file by key."""
+    try:
+        return parse_conllu_file(path, source_id=key)
+    except (OSError, UnicodeDecodeError, ConlluError) as exc:
+        raise ConlluError(f"{key}: {exc}") from exc
+
+
 def _analyze_one(path: Path, key: str, norm: NormTable, cfg: IndexConfig, want_debug: bool):
     """(CSV row, None, debug lines) for a readable file; (None, warning, []) otherwise."""
     try:
-        doc = parse_conllu_file(path, source_id=key)
-    except (OSError, UnicodeDecodeError, ConlluError) as exc:
-        return None, f"{key}: {exc}", []
+        doc = _parse(path, key)
+    except ConlluError as exc:
+        return None, str(exc), []
     tags = tag_document(doc)
     values = compute_from_tags(tags, norm, cfg)
     row = [key, *(_format_cell(values[name]) for name in INDEX_NAMES)]
@@ -237,7 +246,7 @@ def cmd_build_norms(args) -> int:
     if not corpus_dir.is_dir():
         raise ValueError(f"corpus dir {corpus_dir} does not exist")
     files = discover_files(corpus_dir, args.recursive)
-    documents = (parse_conllu_file(path, source_id=key) for key, path in files)
+    documents = (_parse(path, key) for key, path in files)
     label = args.label if args.label is not None else corpus_dir.name
     with _replace_on_success(args.debug_tags) as debug:
         norm = build_norms(documents, label, debug=debug)
@@ -247,11 +256,16 @@ def cmd_build_norms(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    composite = (
-        [c.strip() for c in args.composite_of.split(",") if c.strip()]
-        if args.composite_of
-        else None
-    )
+    # Written so that nan fails each range check.
+    if not 0.0 <= args.r_threshold <= 1.0:
+        raise UsageError(f"--r-threshold must be within [0, 1], got {args.r_threshold}")
+    if not 1.0 < args.vif_limit < math.inf:
+        raise UsageError(f"--vif-limit must be finite and > 1, got {args.vif_limit}")
+    composite = None
+    if args.composite_of is not None:
+        composite = [c.strip() for c in args.composite_of.split(",") if c.strip()]
+        if not composite:
+            raise UsageError(f"--composite-of names no column: {args.composite_of!r}")
     matrix = load_feature_matrix(
         args.indices_csv,
         args.scores_csv,

@@ -117,7 +117,11 @@ def save_norms(norm: NormTable, path: str | Path) -> None:
 
 
 def load_norms(path: str | Path) -> NormTable:
-    """Read a norm TSV, recomputing and cross-checking all marginals."""
+    """Read a norm TSV, checking its #total against the rows.
+
+    Lines end only at a line feed or a carriage return, as CoNLL-U lines do,
+    so a lemma may hold any other character but a tab.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -125,7 +129,9 @@ def load_norms(path: str | Path) -> NormTable:
         raise NormTableError(f"cannot read norm file {path}: {exc}") from exc
     header: dict[str, str] = {}
     pair_counts: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # read_text turns \r\n and \r into \n; splitlines() would also break
+    # at U+2028, U+0085 and other characters a lemma may hold.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):

@@ -402,7 +402,8 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
         raise ValueError("constant vector")
     df_resid = n - k - 1
     sigma2 = rss / df_resid
-    cov = np.linalg.inv(a.T @ a) * sigma2
+    gram = a.T @ a
+    cov = np.linalg.inv(gram) * sigma2
     se = np.sqrt(np.diag(cov))
     t_vals = beta / se
     p_vals = 2.0 * stdtr(df_resid, -np.abs(t_vals))
@@ -415,7 +416,10 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
         f_stat = None
         f_p = None
     labels = ["(Intercept)"] + names
-    shares = _lmg_shares(x, y, names) if 1 <= k <= MAX_LMG_PREDICTORS else None
+    if 1 <= k <= MAX_LMG_PREDICTORS:
+        shares = _lmg_shares(gram, a.T @ y, float(y @ y), tss, names)
+    else:
+        shares = None
     return RegressionSummary(
         predictors=names,
         estimates={lab: float(b) for lab, b in zip(labels, beta)},
@@ -446,20 +450,19 @@ def _dependent_columns(a: np.ndarray, names: list[str]) -> list[str]:
     return dependent
 
 
-def _lmg_shares(x: np.ndarray, y: np.ndarray, names: list[str]) -> dict[str, float]:
+def _lmg_shares(
+    gram: np.ndarray, gy: np.ndarray, yy: float, tss: float, names: list[str]
+) -> dict[str, float]:
     """Average R^2 contribution of each predictor over all entry orderings.
 
-    Computed subset-wise: share_j = sum over subsets S not containing j of
+    gram, gy and yy are A'A, A'y and y'y for the design A = [1, x] of the
+    named predictors, and tss the total sum of squares of y.  Computed
+    subset-wise: share_j = sum over subsets S not containing j of
     |S|!(k-|S|-1)!/k! * (R^2(S+j) - R^2(S)).  Shares sum to the full-model
     R^2 exactly (up to float accumulation).
     """
-    n, k = x.shape
-    a = np.column_stack([np.ones(n), x])
-    gram = a.T @ a
-    gy = a.T @ y
-    yc = y - y.mean()
-    tss = float(yc @ yc)
-    r2 = 1.0 - _all_subset_rss(gram, gy, float(y @ y), k) / tss
+    k = len(names)
+    r2 = 1.0 - _all_subset_rss(gram, gy, yy, k) / tss
     sizes = _bit_counts(np.arange(1 << k), k)
 
     fact = [math.factorial(i) for i in range(k + 1)]

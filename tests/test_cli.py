@@ -378,6 +378,29 @@ def test_build_norms_debug_stream_matches_table(frames_dir, tmp_path):
     assert plain.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        (
+            b"1\tShe\tshe\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+            b"2\tslept\tsleep\tVERB\t_\t_\t0\troot\t_\n",
+            "line 2: malformed token line (9 columns, expected 10)",
+        ),
+        (b"1\tcaf\xe9\tcaf\xe9\tNOUN\t_\t_\t0\troot\t_\t_\n", "'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["malformed", "not-utf8"],
+)
+def test_build_norms_parse_error_names_the_file(frames_dir, tmp_path, capsys, content, problem):
+    corpus = copy_frames(frames_dir, tmp_path / "corpus", ["attr"])
+    (corpus / "sub").mkdir()
+    (corpus / "sub" / "bad.conllu").write_bytes(content)
+    out = tmp_path / "n.tsv"
+    rc = cli.main(["build-norms", "--corpus-dir", str(corpus), "--out", str(out), "--recursive"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: sub/bad.conllu: {problem}")
+    assert not out.exists()
+
+
 def write_stats_csvs(tmp_path, n=200, seed=7):
     rng = random.Random(seed)
     idx = tmp_path / "indices.csv"
@@ -459,6 +482,32 @@ def test_stats_composite_option(tmp_path):
     )
     assert rc == 0
     assert report.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--r-threshold", "nan"),
+        ("--r-threshold", "-0.1"),
+        ("--r-threshold", "1.5"),
+        ("--vif-limit", "nan"),
+        ("--vif-limit", "inf"),
+        ("--vif-limit", "0"),
+        ("--vif-limit", "1"),
+        ("--composite-of", ","),
+        ("--composite-of", ""),
+    ],
+)
+def test_stats_rejects_bad_flag_values_as_usage_errors(tmp_path, capsys, flag, value):
+    idx, sc = write_stats_csvs(tmp_path, n=20)
+    report = tmp_path / "r.txt"
+    rc = cli.main(
+        ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc),
+         "--report", str(report), flag, value]
+    )
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_scipy_special_loads_only_when_stats_fits(frames_dir, tmp_path):

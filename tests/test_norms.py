@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import corpusgen
 from asc_toolkit.ingest import parse_conllu
@@ -13,7 +15,7 @@ from asc_toolkit.norms import (
     load_norms,
     save_norms,
 )
-from asc_toolkit.tagger import debug_lines, tag_document
+from asc_toolkit.tagger import ASC_TYPES, debug_lines, tag_document
 
 DITRAN_SENT = """\
 1\tShe\tshe\tPRON\t_\t_\t2\tnsubj\t_\t_
@@ -156,6 +158,39 @@ def test_load_nonpositive_count(tmp_path):
     )
     with pytest.raises(NormTableError):
         load_norms(path)
+
+
+# Characters str.splitlines() treats as line breaks that CoNLL-U lines may hold.
+UNICODE_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+lemmas = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(UNICODE_LINE_BREAKS),
+        st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.dictionaries(
+        st.tuples(st.sampled_from(ASC_TYPES), lemmas), st.integers(1, 1000), min_size=1
+    ),
+    unseen=lemmas,
+)
+@example(pairs={("TRAN_S", "ea\u2028t"): 1}, unseen="x")
+def test_norm_tables_round_trip_with_any_lemma(tmp_path_factory, pairs, unseen):
+    assume(all(lemma != unseen for _, lemma in pairs))
+    norm = NormTable(pair_counts=pairs, source="gen")
+    path = tmp_path_factory.mktemp("norms") / "n.tsv"
+    save_norms(norm, path)
+    assert load_norms(path) == norm
+    for asc_type, lemma in [*pairs, *((c, unseen) for c in ASC_TYPES)]:
+        cells = contingency(norm, asc_type, lemma)
+        assert min(cells.a, cells.b, cells.c_cell, cells.d) >= 0
+        assert cells.total == norm.total
 
 
 def test_marginal_consistency_after_build():

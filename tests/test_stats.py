@@ -414,7 +414,9 @@ def test_lmg_shares_are_the_average_gain_over_orderings(k, extra_rows, seed):
         for j in order:
             gains[j] += r2[entered | {j}] - r2[entered]
             entered = entered | {j}
-    shares = stats._lmg_shares(x, y, names)
+    a = np.column_stack([np.ones(n), x])
+    yc = y - y.mean()
+    shares = stats._lmg_shares(a.T @ a, a.T @ y, float(y @ y), float(yc @ yc), names)
     for j, name in enumerate(names):
         assert abs(shares[name] - gains[j] / len(orderings)) <= 1e-12
     assert abs(sum(shares.values()) - r2[frozenset(range(k))]) <= 1e-12
