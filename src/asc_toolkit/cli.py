@@ -242,6 +242,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build_norms(args) -> int:
+    # load_norms reads the label back from a one-line #source header.
+    if args.label is not None and ("\n" in args.label or "\r" in args.label):
+        raise UsageError(f"--label must not hold a line break, got {args.label!r}")
     corpus_dir = Path(args.corpus_dir)
     if not corpus_dir.is_dir():
         raise ValueError(f"corpus dir {corpus_dir} does not exist")

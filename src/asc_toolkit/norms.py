@@ -120,11 +120,12 @@ def load_norms(path: str | Path) -> NormTable:
     """Read a norm TSV, checking its #total against the rows.
 
     Lines end only at a line feed or a carriage return, as CoNLL-U lines do,
-    so a lemma may hold any other character but a tab.
+    so a lemma may hold any other character but a tab.  The file may start
+    with a UTF-8 byte order mark.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise NormTableError(f"cannot read norm file {path}: {exc}") from exc
     header: dict[str, str] = {}

@@ -18,9 +18,9 @@ import numpy as np
 # Guard for log(RSS/n) on numerically perfect fits.
 _TINY_RSS = 1e-300
 
-# Beyond this many candidates the exhaustive scan's 2^k subsets cost too much
-# time and memory; fall back to forward+backward stepwise search over visited
-# models.
+# Beyond this many candidates the search is forward+backward stepwise over
+# visited models: the exhaustive scan's time and memory double with each
+# candidate (0.05 s and a few MB at 18, over half a GB at 25).
 MAX_EXHAUSTIVE = 18
 MAX_CANDIDATES = 25
 
@@ -33,9 +33,12 @@ AIC_DELTA = 4.0
 # The column that joins the indices CSV to the scores CSV.
 JOIN_COLUMN = "filename"
 
-# Subsets per batched solve in _all_subset_rss: enough to spread numpy's
-# per-call cost, few enough that a chunk's Gram submatrices stay a few MB.
-_CHUNK = 2000
+# A column whose residual sum of squares, given the intercept and the columns
+# already in the subset, is at most this share of its uncentered sum of squares
+# adds nothing to the fit.  The scale is the uncentered one because a constant
+# column's centered sum of squares is rounding noise; so a column whose spread
+# is under about 1e-6 of its mean counts as constant.
+_SWEEP_TOL = 1e-12
 
 _SOA_SUFFIXES = ("AvMI", "AvT", "AvDeltaPLemma", "AvDeltaPStructure")
 
@@ -219,54 +222,49 @@ class AicSelection:
     exhaustive: bool
 
 
-def _subset_rss(gram: np.ndarray, gy: np.ndarray, yy: float, idx: tuple[int, ...]) -> float:
-    """RSS of the fit on the design columns idx: solve, or lstsq if singular."""
+def _subset_rss(gram: np.ndarray, gy: np.ndarray, yy: float, mask: int) -> float:
+    """RSS of the intercept-plus-S fit for one bit mask S: solve, or lstsq if singular."""
+    idx = [0] + [j + 1 for j in range(len(gy) - 1) if mask >> j & 1]
     sub = np.ix_(idx, idx)
     try:
-        beta = np.linalg.solve(gram[sub], gy[list(idx)])
+        beta = np.linalg.solve(gram[sub], gy[idx])
     except np.linalg.LinAlgError:
-        beta, _, _, _ = np.linalg.lstsq(gram[sub], gy[list(idx)], rcond=None)
-    return max(float(yy - beta @ gy[list(idx)]), 0.0)
+        beta, _, _, _ = np.linalg.lstsq(gram[sub], gy[idx], rcond=None)
+    return max(float(yy - beta @ gy[idx]), 0.0)
 
 
-def _bit_counts(masks: np.ndarray, k: int) -> np.ndarray:
-    counts = np.zeros(len(masks), dtype=np.int64)
-    for j in range(k):
-        counts += (masks >> j) & 1
-    return counts
+def _subset_sizes(k: int) -> np.ndarray:
+    """Number of set bits of every mask 0 .. 2^k - 1, indexed by mask."""
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sizes
 
 
-def _all_subset_rss(
-    gram: np.ndarray, gy: np.ndarray, yy: float, k: int, masks: list[int] | None = None
-) -> np.ndarray:
-    """RSS of the intercept-plus-S least-squares fit for each bit mask S.
+def _all_subset_rss(gram: np.ndarray, gy: np.ndarray, yy: float, k: int) -> np.ndarray:
+    """RSS of the intercept-plus-S least-squares fit for every bit mask S, indexed by mask.
 
     gram, gy and yy are A'A, A'y and y'y for the design A = [1, x_0 .. x_{k-1}];
-    bit j of a mask selects x_j.  Without masks, every mask 0 .. 2^k - 1 is
-    scored and the result is indexed by mask; otherwise it follows masks.
-    Subsets are solved by size in chunks of _CHUNK, one batched solve per
-    chunk.  A chunk holding a singular system is re-scored subset by subset
-    with _subset_rss, so every subset scores exactly as its own solve would.
+    bit j of a mask selects x_j.  One sweep down the subset lattice (Goodnight
+    1979): before step j, cross[m] holds the cross-products of x_j .. x_{k-1}
+    and y left after fitting the intercept and the subset m of x_0 .. x_{j-1}.
+    Step j drops x_j from each (the masks without bit j) and sweeps on it (the
+    masks with bit j), and stacks the halves in that order.  A column whose
+    pivot is at most _SWEEP_TOL times its uncentered A'A diagonal adds nothing
+    to the fit, so it is not swept and the subset keeps its parent's RSS, as a
+    least-squares fit would.
     """
-    masks = np.arange(1 << k) if masks is None else np.asarray(masks, dtype=np.int64)
-    sizes = _bit_counts(masks, k)
-    bits = 1 << np.arange(k)
-    rss = np.empty(len(masks))
-    for size in range(k + 1):
-        where = np.flatnonzero(sizes == size)
-        for lo in range(0, len(where), _CHUNK):
-            at = where[lo : lo + _CHUNK]
-            cols = np.nonzero(masks[at, None] & bits)[1].reshape(len(at), size)
-            idx = np.column_stack([np.zeros(len(at), dtype=np.intp), cols + 1])
-            b = gy[idx]
-            try:
-                beta = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], b[..., None])
-            except np.linalg.LinAlgError:
-                rss[at] = [_subset_rss(gram, gy, yy, tuple(row)) for row in idx.tolist()]
-                continue
-            # a stacked (1 x m)(m x 1) product is the same dot as a single solve's
-            rss[at] = np.maximum(yy - np.matmul(b[:, None, :], beta)[:, 0, 0], 0.0)
-    return rss
+    aug = np.block([[gram, gy[:, None]], [gy[None, :], np.array([[yy]])]])
+    # Sweeping the intercept out centres the cross-products.
+    cross = (aug[1:, 1:] - np.outer(aug[1:, 0], aug[0, 1:]) / aug[0, 0])[None]
+    for j in range(k):
+        pivot = cross[:, 0, 0]
+        ok = pivot > _SWEEP_TOL * gram[j + 1, j + 1]
+        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
+        rest = cross[:, 1:, 1:]
+        swept = rest - (cross[:, 1:, 0] * inv[:, None])[:, :, None] * cross[:, None, 0, 1:]
+        cross = np.concatenate([rest, swept])
+    return np.maximum(cross[:, 0, 0], 0.0)
 
 
 def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSelection:
@@ -289,23 +287,17 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
     yy = float(y @ y)
     k = len(names)
 
-    def model_aics(masks: list[int], rss: np.ndarray) -> dict[int, float]:
-        return {m: aic(n, r, m.bit_count()) for m, r in zip(masks, rss.tolist())}
-
     exhaustive = k <= MAX_EXHAUSTIVE
     if exhaustive:
         rss = _all_subset_rss(gram, gy, yy, k)
-        sizes = _bit_counts(np.arange(1 << k), k)
-        screen = n * np.log(np.maximum(rss, _TINY_RSS) / n) + 2 * (sizes + 2)
+        screen = n * np.log(np.maximum(rss, _TINY_RSS) / n) + 2 * (_subset_sizes(k) + 2)
         # np.log and math.log may differ in the last bit: the margin keeps
         # every model within AIC_DELTA, and aic() then scores those exactly.
-        near = np.flatnonzero(screen - screen.min() < AIC_DELTA + 1e-6)
-        scored = model_aics(near.tolist(), rss[near])
+        near = np.flatnonzero(screen - screen.min() < AIC_DELTA + 1e-6).tolist()
+        scored = {m: aic(n, float(rss[m]), m.bit_count()) for m in near}
         n_models = 1 << k
     else:
-        scored = _stepwise_scan(
-            k, lambda masks: model_aics(masks, _all_subset_rss(gram, gy, yy, k, masks))
-        )
+        scored = _stepwise_scan(k, lambda m: aic(n, _subset_rss(gram, gy, yy, m), m.bit_count()))
         n_models = len(scored)
 
     by_subset = {tuple(j for j in range(k) if m >> j & 1): v for m, v in scored.items()}
@@ -326,18 +318,17 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
     )
 
 
-def _stepwise_scan(k: int, score: Callable[[list[int]], dict[int, float]]) -> dict[int, float]:
+def _stepwise_scan(k: int, score: Callable[[int], float]) -> dict[int, float]:
     """Greedy forward and backward passes over bit masks; every visited model is scored.
 
-    score maps a batch of masks to their AICs; each step's unseen candidates
-    form one batch.  Returns the AIC of every visited mask.
+    score maps a mask to its AIC.  Returns the AIC of every visited mask.
     """
     scored: dict[int, float] = {}
 
     def best_of(step: list[int]) -> tuple[int, float]:
-        unseen = [m for m in step if m not in scored]
-        if unseen:
-            scored.update(score(unseen))
+        for m in step:
+            if m not in scored:
+                scored[m] = score(m)
         cand = min(step, key=scored.__getitem__)
         return cand, scored[cand]
 
@@ -463,7 +454,7 @@ def _lmg_shares(
     """
     k = len(names)
     r2 = 1.0 - _all_subset_rss(gram, gy, yy, k) / tss
-    sizes = _bit_counts(np.arange(1 << k), k)
+    sizes = _subset_sizes(k)
 
     fact = [math.factorial(i) for i in range(k + 1)]
     weight = np.array([fact[s] * fact[k - 1 - s] / fact[k] for s in range(k)])

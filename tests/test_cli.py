@@ -348,6 +348,20 @@ def test_build_norms_rebuild_is_byte_identical(frames_dir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("label", ["two\nlines", "carriage\rreturn", "crlf\r\n"])
+def test_build_norms_rejects_label_with_line_break(frames_dir, tmp_path, capsys, label):
+    out = tmp_path / "n.tsv"
+    dbg = tmp_path / "tags.tsv"
+    rc = cli.main(
+        ["build-norms", "--corpus-dir", str(frames_dir), "--out", str(out),
+         "--debug-tags", str(dbg), "--label", label]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error: --label must not hold a line break")
+    assert not out.exists() and not dbg.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_norms_empty_dir_aborts(tmp_path, capsys):
     inp = tmp_path / "in"
     inp.mkdir()

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from asc_toolkit.cli import resolve_source
 from asc_toolkit.ingest import parse_conllu
 from asc_toolkit.norms import (
     NormTable,
@@ -117,6 +118,13 @@ def test_round_trip(tmp_path):
     assert loaded.source == "unit"
     save_norms(loaded, tmp_path / "n2.tsv")
     assert (tmp_path / "n.tsv").read_bytes() == (tmp_path / "n2.tsv").read_bytes()
+
+
+def test_load_accepts_bom(tmp_path):
+    demo = resolve_source("demo")
+    bom = tmp_path / "demo.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + demo.read_bytes())
+    assert load_norms(bom) == load_norms(demo)
 
 
 def test_load_truncated(tmp_path):

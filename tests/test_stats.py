@@ -284,12 +284,11 @@ def lstsq_aic(x, y, subset):
     k=st.integers(3, 8),
     extra_rows=st.integers(3, 40),
     seed=st.integers(0, 2**32 - 1),
-    const=st.sampled_from([0.0, 1.0, -2.5]),
-    chunk=st.integers(1, 7),
+    const=st.sampled_from([0.0, 0.1, 1.0, -2.5, 3.7, 1000.3]),
 )
-def test_aic_select_matches_brute_force_lstsq(k, extra_rows, seed, const, chunk):
+def test_aic_select_matches_brute_force_lstsq(k, extra_rows, seed, const):
     # The last two columns are a copy of an earlier one and a constant, so
-    # some subsets are singular and their chunk is re-scored one by one.
+    # some subsets hold a column that adds nothing to the fit.
     rng = np.random.default_rng(seed)
     n = k + extra_rows
     x = rng.standard_normal((n, k))
@@ -298,13 +297,8 @@ def test_aic_select_matches_brute_force_lstsq(k, extra_rows, seed, const, chunk)
     y = x[:, 0] + rng.standard_normal(n) * 1.5 + 3.0
     names = [f"f{j}" for j in range(k)]
     m = matrix_from({nm: x[:, j].tolist() for j, nm in enumerate(names)}, y.tolist())
-    with mock.patch.object(stats, "_CHUNK", chunk), mock.patch.object(
-        stats, "_subset_rss", wraps=stats._subset_rss
-    ) as fallback:
-        sel = aic_select(m)
+    sel = aic_select(m)
     assert sel.exhaustive and sel.n_models == 2**k
-    if const == 0.0:  # a zero column makes its subsets exactly singular
-        assert fallback.called
 
     oracle = {
         tuple(names[j] for j in s): lstsq_aic(x, y, s)
@@ -329,6 +323,34 @@ def test_aic_select_matches_brute_force_lstsq(k, extra_rows, seed, const, chunk)
             assert len(s) == len(want)
             assert abs(oracle[s] - want_aic) <= tol(want_aic)
     assert sel.best == sel.candidates[0][0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(3, 8),
+    n=st.sampled_from([11, 40, 1138]),
+    seed=st.integers(0, 2**32 - 1),
+    const=st.sampled_from([0.0, 0.1, 1.0, -2.5, 3.7, 1000.3, 7e5 + 0.1]),
+)
+def test_all_subset_rss_matches_lstsq_on_each_design(k, n, seed, const):
+    # A copy of an earlier column and a constant column, then the columns
+    # shuffled, so the sweep meets a column that adds nothing at any step.
+    # Column 1 has a mean 100 times its spread and must still enter the fit.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k))
+    x[:, 1] += 100.0
+    y = x[:, 0] + x[:, 1] + rng.standard_normal(n) * 1.5 - 97.0
+    x[:, k - 2] = x[:, rng.integers(0, k - 2)]
+    x[:, k - 1] = const
+    x = x[:, rng.permutation(k)]
+    a = np.column_stack([np.ones(n), x])
+    rss = stats._all_subset_rss(a.T @ a, a.T @ y, float(y @ y), k)
+    assert rss.shape == (2**k,)
+    for mask in range(2**k):
+        design = a[:, [0] + [j + 1 for j in range(k) if mask >> j & 1]]
+        resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+        want = float(resid @ resid)
+        assert abs(rss[mask] - want) <= 1e-9 * max(1.0, want)
 
 
 # --- OLS --------------------------------------------------------------------
