@@ -251,8 +251,9 @@ def _all_subset_rss(gram: np.ndarray, gy: np.ndarray, yy: float, k: int) -> np.n
     Step j drops x_j from each (the masks without bit j) and sweeps on it (the
     masks with bit j), and stacks the halves in that order.  A column whose
     pivot is at most _SWEEP_TOL times its uncentered A'A diagonal adds nothing
-    to the fit, so it is not swept and the subset keeps its parent's RSS, as a
-    least-squares fit would.
+    to the fit: it is not swept, so the subset with it keeps the RSS of the
+    subset without it, as a least-squares fit would.  The largest stacked
+    array holds 2^(k-2) x 3 x 3 floats (4.7 MB at k = 18).
     """
     aug = np.block([[gram, gy[:, None]], [gy[None, :], np.array([[yy]])]])
     # Sweeping the intercept out centres the cross-products.
