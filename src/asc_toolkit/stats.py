@@ -34,10 +34,11 @@ AIC_DELTA = 4.0
 JOIN_COLUMN = "filename"
 
 # A column whose residual sum of squares, given the intercept and the columns
-# already in the subset, is at most this share of its uncentered sum of squares
-# adds nothing to the fit.  The scale is the uncentered one because a constant
+# already swept, is at most this share of its uncentered sum of squares adds
+# nothing to the fit.  The scale is the uncentered one because a constant
 # column's centered sum of squares is rounding noise; so a column whose spread
-# is under about 1e-6 of its mean counts as constant.
+# is under about 1e-6 of its mean counts as constant.  _sweep_first applies it
+# for pearson, VIF pruning, AIC selection and the OLS fit alike.
 _SWEEP_TOL = 1e-12
 
 _SOA_SUFFIXES = ("AvMI", "AvT", "AvDeltaPLemma", "AvDeltaPStructure")
@@ -102,10 +103,11 @@ def pearson(x, y) -> float:
         raise ValueError("need at least 3 observations")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
+    ss = np.array([xc @ xc, yc @ yc])
+    _, ok = _sweep_first(ss[:, None, None], np.array([x @ x, y @ y]))
+    if not ok.all():
         raise ValueError("constant vector")
+    sx, sy = np.sqrt(ss)
     return float((xc @ yc) / (sx * sy))
 
 
@@ -162,16 +164,32 @@ def bivariate_filter(r_by_name: dict[str, float | None], threshold: float = 0.10
     ]
 
 
-def _aux_r_squared(x: np.ndarray, y: np.ndarray) -> float:
-    """R^2 of y regressed on x plus an intercept (least squares)."""
-    a = np.column_stack([np.ones(len(y)), x])
-    beta, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ beta
-    yc = y - y.mean()
-    tss = float(yc @ yc)
-    if tss == 0.0:
-        return 1.0
-    return 1.0 - float(resid @ resid) / tss
+def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centred cross-products of [x, y]'s columns, and each x column's uncentered sum of squares.
+
+    Centring first fits the intercept without the cancellation that sweeping
+    it out of uncentered cross-products suffers when a mean is large against
+    its spread.  The uncentered sums of squares scale the _SWEEP_TOL rule.
+    """
+    z = np.column_stack([x, y])
+    z = z - z.mean(axis=0)
+    return z.T @ z, (x * x).sum(axis=0)
+
+
+def _sweep_first(stack: np.ndarray, scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the first column of each cross-product matrix in a stack (Goodnight 1979).
+
+    stack is (m, p, p); scale is the first column's uncentered sum of squares,
+    one value or one per matrix.  Returns the (m, p - 1, p - 1) cross-products
+    of the other columns left after the fit, and whether each pivot passed the
+    _SWEEP_TOL rule.  A column whose pivot fails adds nothing to the fit: it is
+    dropped without being swept, as a least-squares fit would ignore it.
+    """
+    pivot = stack[:, 0, 0]
+    ok = pivot > _SWEEP_TOL * scale
+    inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
+    rest = stack[:, 1:, 1:]
+    return rest - (stack[:, 1:, 0] * inv[:, None])[:, :, None] * stack[:, None, 0, 1:], ok
 
 
 def vif_prune(
@@ -188,21 +206,22 @@ def vif_prune(
     names = list(matrix.names if names is None else names)
     if len(names) < 2:
         return names
-    x, _, _ = matrix.complete(names)
+    cross, scale = _cross(*matrix.complete(names)[:2])
     keep = list(range(len(names)))
     while len(keep) >= 2:
-        vifs = []
-        for pos, j in enumerate(keep):
-            others = [c for c in keep if c != j]
-            r2 = _aux_r_squared(x[:, others], x[:, j])
-            vifs.append(math.inf if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2))
-        worst_pos = 0
-        for pos in range(1, len(keep)):
-            if vifs[pos] >= vifs[worst_pos]:
-                worst_pos = pos
-        if vifs[worst_pos] < limit:
+        # Matrix i of the stack orders the kept columns with keep[i] last, so
+        # sweeping the others leaves keep[i]'s residual sum of squares given them.
+        order = np.array([[c for c in keep if c != j] + [j] for j in keep])
+        stack = cross[order[:, :, None], order[:, None, :]]
+        for step in range(len(keep) - 1):
+            stack, _ = _sweep_first(stack, scale[order[:, step]])
+        _, ok = _sweep_first(stack, scale[keep])
+        vifs = np.full(len(keep), math.inf)
+        np.divide(np.diag(cross)[keep], stack[:, 0, 0], out=vifs, where=ok)
+        worst = len(keep) - 1 - int(np.argmax(vifs[::-1]))
+        if vifs[worst] < limit:
             break
-        del keep[worst_pos]
+        del keep[worst]
     return [names[j] for j in keep]
 
 
@@ -222,15 +241,14 @@ class AicSelection:
     exhaustive: bool
 
 
-def _subset_rss(gram: np.ndarray, gy: np.ndarray, yy: float, mask: int) -> float:
-    """RSS of the intercept-plus-S fit for one bit mask S: solve, or lstsq if singular."""
-    idx = [0] + [j + 1 for j in range(len(gy) - 1) if mask >> j & 1]
-    sub = np.ix_(idx, idx)
-    try:
-        beta = np.linalg.solve(gram[sub], gy[idx])
-    except np.linalg.LinAlgError:
-        beta, _, _, _ = np.linalg.lstsq(gram[sub], gy[idx], rcond=None)
-    return max(float(yy - beta @ gy[idx]), 0.0)
+def _subset_rss(cross: np.ndarray, scale: np.ndarray, mask: int) -> float:
+    """RSS of the intercept-plus-S fit for one bit mask S over _cross(x, y), column by column."""
+    cols = [j for j in range(len(scale)) if mask >> j & 1]
+    idx = cols + [len(scale)]
+    stack = cross[np.ix_(idx, idx)][None]
+    for j in cols:
+        stack, _ = _sweep_first(stack, scale[j])
+    return max(float(stack[0, 0, 0]), 0.0)
 
 
 def _subset_sizes(k: int) -> np.ndarray:
@@ -241,31 +259,24 @@ def _subset_sizes(k: int) -> np.ndarray:
     return sizes
 
 
-def _all_subset_rss(gram: np.ndarray, gy: np.ndarray, yy: float, k: int) -> np.ndarray:
+def _all_subset_rss(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """RSS of the intercept-plus-S least-squares fit for every bit mask S, indexed by mask.
 
-    gram, gy and yy are A'A, A'y and y'y for the design A = [1, x_0 .. x_{k-1}];
-    bit j of a mask selects x_j.  One sweep down the subset lattice (Goodnight
-    1979): before step j, cross[m] holds the cross-products of x_j .. x_{k-1}
-    and y left after fitting the intercept and the subset m of x_0 .. x_{j-1}.
-    Step j drops x_j from each (the masks without bit j) and sweeps on it (the
-    masks with bit j), and stacks the halves in that order.  A column whose
-    pivot is at most _SWEEP_TOL times its uncentered A'A diagonal adds nothing
-    to the fit: it is not swept, so the subset with it keeps the RSS of the
-    subset without it, as a least-squares fit would.  The largest stacked
-    array holds 2^(k-2) x 3 x 3 floats (4.7 MB at k = 18).
+    cross and scale are _cross(x, y) for x = [x_0 .. x_{k-1}]; bit j of a mask
+    selects x_j.  One sweep down the subset lattice (Goodnight 1979): before
+    step j, stack[m] holds the cross-products of x_j .. x_{k-1} and y left
+    after fitting the intercept and the subset m of x_0 .. x_{j-1}.  Step j
+    drops x_j from each (the masks without bit j) and sweeps on it (the masks
+    with bit j), and stacks the halves in that order.  Where x_j adds nothing,
+    _sweep_first does not sweep it, so the subset with it keeps the RSS of the
+    subset without it.  The largest stacked array holds 2^(k-2) x 3 x 3 floats
+    (4.7 MB at k = 18).
     """
-    aug = np.block([[gram, gy[:, None]], [gy[None, :], np.array([[yy]])]])
-    # Sweeping the intercept out centres the cross-products.
-    cross = (aug[1:, 1:] - np.outer(aug[1:, 0], aug[0, 1:]) / aug[0, 0])[None]
-    for j in range(k):
-        pivot = cross[:, 0, 0]
-        ok = pivot > _SWEEP_TOL * gram[j + 1, j + 1]
-        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
-        rest = cross[:, 1:, 1:]
-        swept = rest - (cross[:, 1:, 0] * inv[:, None])[:, :, None] * cross[:, None, 0, 1:]
-        cross = np.concatenate([rest, swept])
-    return np.maximum(cross[:, 0, 0], 0.0)
+    stack = cross[None]
+    for s in scale:
+        swept, _ = _sweep_first(stack, s)
+        stack = np.concatenate([stack[:, 1:, 1:], swept])
+    return np.maximum(stack[:, 0, 0], 0.0)
 
 
 def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSelection:
@@ -282,15 +293,12 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
     n = len(y)
     if n < 3:
         raise ValueError("need at least 3 complete rows")
-    a = np.column_stack([np.ones(n), x])
-    gram = a.T @ a
-    gy = a.T @ y
-    yy = float(y @ y)
+    cross, scale = _cross(x, y)
     k = len(names)
 
     exhaustive = k <= MAX_EXHAUSTIVE
     if exhaustive:
-        rss = _all_subset_rss(gram, gy, yy, k)
+        rss = _all_subset_rss(cross, scale)
         screen = n * np.log(np.maximum(rss, _TINY_RSS) / n) + 2 * (_subset_sizes(k) + 2)
         # np.log and math.log may differ in the last bit: the margin keeps
         # every model within AIC_DELTA, and aic() then scores those exactly.
@@ -298,7 +306,7 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
         scored = {m: aic(n, float(rss[m]), m.bit_count()) for m in near}
         n_models = 1 << k
     else:
-        scored = _stepwise_scan(k, lambda m: aic(n, _subset_rss(gram, gy, yy, m), m.bit_count()))
+        scored = _stepwise_scan(k, lambda m: aic(n, _subset_rss(cross, scale, m), m.bit_count()))
         n_models = len(scored)
 
     by_subset = {tuple(j for j in range(k) if m >> j & 1): v for m, v in scored.items()}
@@ -379,23 +387,26 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     n, k = x.shape
     if n <= k + 1:
         raise ValueError(f"need more than {k + 1} complete rows, got {n}")
+    cross, scale = _cross(x, y)
+    # A column that adds nothing given the intercept and the columns before it.
+    stack, dependent = cross[None], []
+    for j, name in enumerate(names):
+        stack, ok = _sweep_first(stack, scale[j])
+        if not ok[0]:
+            dependent.append(name)
+    if dependent:
+        raise ValueError("rank-deficient design; collinear columns: " + ", ".join(dependent))
+    _, ok = _sweep_first(cross[None, -1:, -1:], y @ y)
+    if not ok[0]:
+        raise ValueError("constant vector")
     a = np.column_stack([np.ones(n), x])
-    rank = np.linalg.matrix_rank(a)
-    if rank < k + 1:
-        raise ValueError(
-            "rank-deficient design; collinear columns: " + ", ".join(_dependent_columns(a, names))
-        )
     beta, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ beta
     rss = float(resid @ resid)
-    yc = y - y.mean()
-    tss = float(yc @ yc)
-    if tss == 0.0:
-        raise ValueError("constant vector")
+    tss = float(cross[-1, -1])
     df_resid = n - k - 1
     sigma2 = rss / df_resid
-    gram = a.T @ a
-    cov = np.linalg.inv(gram) * sigma2
+    cov = np.linalg.inv(a.T @ a) * sigma2
     se = np.sqrt(np.diag(cov))
     t_vals = beta / se
     p_vals = 2.0 * stdtr(df_resid, -np.abs(t_vals))
@@ -409,7 +420,7 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
         f_p = None
     labels = ["(Intercept)"] + names
     if 1 <= k <= MAX_LMG_PREDICTORS:
-        shares = _lmg_shares(gram, a.T @ y, float(y @ y), tss, names)
+        shares = _lmg_shares(cross, scale, names)
     else:
         shares = None
     return RegressionSummary(
@@ -430,31 +441,17 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     )
 
 
-def _dependent_columns(a: np.ndarray, names: list[str]) -> list[str]:
-    """Columns that do not raise the design rank, in order (intercept excluded)."""
-    dependent = []
-    rank = 0
-    for j in range(a.shape[1]):
-        new_rank = np.linalg.matrix_rank(a[:, : j + 1])
-        if new_rank == rank and j > 0:
-            dependent.append(names[j - 1])
-        rank = new_rank
-    return dependent
-
-
-def _lmg_shares(
-    gram: np.ndarray, gy: np.ndarray, yy: float, tss: float, names: list[str]
-) -> dict[str, float]:
+def _lmg_shares(cross: np.ndarray, scale: np.ndarray, names: list[str]) -> dict[str, float]:
     """Average R^2 contribution of each predictor over all entry orderings.
 
-    gram, gy and yy are A'A, A'y and y'y for the design A = [1, x] of the
-    named predictors, and tss the total sum of squares of y.  Computed
+    cross and scale are _cross(x, y) for the named predictors x; the total
+    sum of squares of y is cross[-1, -1].  Computed
     subset-wise: share_j = sum over subsets S not containing j of
     |S|!(k-|S|-1)!/k! * (R^2(S+j) - R^2(S)).  Shares sum to the full-model
     R^2 exactly (up to float accumulation).
     """
     k = len(names)
-    r2 = 1.0 - _all_subset_rss(gram, gy, yy, k) / tss
+    r2 = 1.0 - _all_subset_rss(cross, scale) / cross[-1, -1]
     sizes = _subset_sizes(k)
 
     fact = [math.factorial(i) for i in range(k + 1)]

@@ -69,6 +69,14 @@ def test_pearson_matches_numpy_oracle():
 def test_pearson_constant_vector():
     with pytest.raises(ValueError, match="constant vector"):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    # The mean of 60 copies of 0.1, 3.7 or 1000.3 is not exact, so the
+    # centred sum of squares is rounding noise rather than 0.
+    varied = [float(i % 7) for i in range(60)]
+    for const in (0.1, 3.7, 1000.3):
+        with pytest.raises(ValueError, match="constant vector"):
+            pearson([const] * 60, varied)
+        with pytest.raises(ValueError, match="constant vector"):
+            pearson(varied, [const] * 60)
 
 
 def test_pearson_too_short():
@@ -155,6 +163,30 @@ def test_vif_drops_perfectly_collinear():
     cols = {"a": x, "b": [2.0 * v for v in x]}
     m = matrix_from(cols, [rng.gauss(0, 1) for _ in range(100)])
     assert vif_prune(m, limit=5.0) == ["a"]
+
+
+@pytest.mark.parametrize("const", [0.1, 3.7, 1000.3])
+def test_vif_drops_constant_then_sum_and_keeps_large_mean(const):
+    # k is constant, c = a + b, m has a mean 100 times its spread, and j a
+    # mean 1e10 times its spread, so by the rule j counts as constant.  The
+    # VIFs of a, b, c, j and k are all infinite, so k, the latest, goes
+    # first; then j, then c; m stays.  At n = 60 the mean of k is not exact.
+    rng = random.Random(74)
+    n = 60
+    a = [rng.gauss(0, 1) for _ in range(n)]
+    b = [rng.gauss(0, 1) for _ in range(n)]
+    cols = {
+        "a": a,
+        "b": b,
+        "c": [ai + bi for ai, bi in zip(a, b)],
+        "m": [100.0 + rng.gauss(0, 1) for _ in range(n)],
+        "j": [1e6 + 1e-4 * rng.gauss(0, 1) for _ in range(n)],
+        "k": [const] * n,
+    }
+    m = matrix_from(cols, [rng.gauss(0, 1) for _ in range(n)])
+    assert vif_prune(m, ["a", "m", "k"], limit=5.0) == ["a", "m"]
+    assert vif_prune(m, ["a", "m", "j"], limit=5.0) == ["a", "m"]
+    assert vif_prune(m, limit=5.0) == ["a", "b", "m"]
 
 
 def test_vif_keeps_orthogonal():
@@ -331,26 +363,31 @@ def test_aic_select_matches_brute_force_lstsq(k, extra_rows, seed, const):
     n=st.sampled_from([11, 40, 1138]),
     seed=st.integers(0, 2**32 - 1),
     const=st.sampled_from([0.0, 0.1, 1.0, -2.5, 3.7, 1000.3, 7e5 + 0.1]),
+    shift=st.sampled_from([0.0, 7e5]),
 )
-def test_all_subset_rss_matches_lstsq_on_each_design(k, n, seed, const):
+def test_all_subset_rss_matches_lstsq_on_each_design(k, n, seed, const, shift):
     # A copy of an earlier column and a constant column, then the columns
     # shuffled, so the sweep meets a column that adds nothing at any step.
     # Column 1 has a mean 100 times its spread and must still enter the fit.
+    # A shift of 7e5 gives y a mean far larger than its spread.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, k))
     x[:, 1] += 100.0
-    y = x[:, 0] + x[:, 1] + rng.standard_normal(n) * 1.5 - 97.0
+    y = x[:, 0] + x[:, 1] + rng.standard_normal(n) * 1.5 - 97.0 + shift
     x[:, k - 2] = x[:, rng.integers(0, k - 2)]
     x[:, k - 1] = const
     x = x[:, rng.permutation(k)]
     a = np.column_stack([np.ones(n), x])
-    rss = stats._all_subset_rss(a.T @ a, a.T @ y, float(y @ y), k)
+    cross, scale = stats._cross(x, y)
+    rss = stats._all_subset_rss(cross, scale)
     assert rss.shape == (2**k,)
     for mask in range(2**k):
         design = a[:, [0] + [j + 1 for j in range(k) if mask >> j & 1]]
         resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
         want = float(resid @ resid)
         assert abs(rss[mask] - want) <= 1e-9 * max(1.0, want)
+        # The stepwise search scores one mask at a time, by the same sweep.
+        assert abs(stats._subset_rss(cross, scale, mask) - want) <= 1e-9 * max(1.0, want)
 
 
 # --- OLS --------------------------------------------------------------------
@@ -436,9 +473,7 @@ def test_lmg_shares_are_the_average_gain_over_orderings(k, extra_rows, seed):
         for j in order:
             gains[j] += r2[entered | {j}] - r2[entered]
             entered = entered | {j}
-    a = np.column_stack([np.ones(n), x])
-    yc = y - y.mean()
-    shares = stats._lmg_shares(a.T @ a, a.T @ y, float(y @ y), float(yc @ yc), names)
+    shares = stats._lmg_shares(*stats._cross(x, y), names)
     for j, name in enumerate(names):
         assert abs(shares[name] - gains[j] / len(orderings)) <= 1e-12
     assert abs(sum(shares.values()) - r2[frozenset(range(k))]) <= 1e-12
@@ -483,6 +518,28 @@ def test_ols_rank_deficiency_names_columns():
         {"a": a, "b": [2 * v for v in a]}, [rng.gauss(0, 1) for _ in range(n)]
     )
     with pytest.raises(ValueError, match="collinear.*b"):
+        ols_fit(m)
+
+    b = [rng.gauss(0, 1) for _ in range(n)]
+    d = [rng.gauss(0, 1) for _ in range(n)]
+    m = matrix_from(
+        {"k": [3.7] * n, "a": a, "b": b}, [rng.gauss(0, 1) for _ in range(n)]
+    )
+    with pytest.raises(ValueError, match="collinear columns: k$"):
+        ols_fit(m)
+    # Two disjoint dependencies: c = a - b, and e = 3d.
+    cols = {
+        "a": a, "b": b, "c": [ai - bi for ai, bi in zip(a, b)], "d": d, "e": [3 * v for v in d]
+    }
+    m = matrix_from(cols, [rng.gauss(0, 1) for _ in range(n)])
+    with pytest.raises(ValueError, match="collinear columns: c, e$"):
+        ols_fit(m)
+
+
+@pytest.mark.parametrize("const", [0.0, 3.7])
+def test_ols_constant_target(const):
+    m = matrix_from({"a": [float(i % 7) for i in range(60)]}, [const] * 60)
+    with pytest.raises(ValueError, match="constant vector"):
         ols_fit(m)
 
 
