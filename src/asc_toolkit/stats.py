@@ -11,21 +11,19 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 # Guard for log(RSS/n) on numerically perfect fits.
 _TINY_RSS = 1e-300
 
-# Beyond this many candidates the search is forward+backward stepwise over
-# visited models: the exhaustive scan's time and memory double with each
-# candidate (0.05 s and a few MB at 18, over half a GB at 25).
-MAX_EXHAUSTIVE = 18
+# The widest subset lattice swept in one pass: its time and memory double with
+# each column (0.05 s and a few MB at 18, over half a GB at 25).  AIC selection
+# branches on the columns beyond it; LMG, which needs every subset of the
+# model's predictors, is computed up to it.
+MAX_LATTICE = 18
 MAX_CANDIDATES = 25
-
-# LMG needs R^2 for every predictor subset; cap where 2^k stays cheap.
-MAX_LMG_PREDICTORS = 15
 
 # AIC selection reports every model within this distance of the best.
 AIC_DELTA = 4.0
@@ -234,21 +232,10 @@ def aic(n: int, rss: float, k: int) -> float:
 class AicSelection:
     best: tuple[str, ...]
     best_aic: float
-    # All inspected subsets within AIC_DELTA of the minimum, best first.
+    # All subsets within AIC_DELTA of the minimum, best first.
     candidates: list[tuple[tuple[str, ...], float]]
     n_obs: int
     n_models: int
-    exhaustive: bool
-
-
-def _subset_rss(cross: np.ndarray, scale: np.ndarray, mask: int) -> float:
-    """RSS of the intercept-plus-S fit for one bit mask S over _cross(x, y), column by column."""
-    cols = [j for j in range(len(scale)) if mask >> j & 1]
-    idx = cols + [len(scale)]
-    stack = cross[np.ix_(idx, idx)][None]
-    for j in cols:
-        stack, _ = _sweep_first(stack, scale[j])
-    return max(float(stack[0, 0, 0]), 0.0)
 
 
 def _subset_sizes(k: int) -> np.ndarray:
@@ -259,32 +246,48 @@ def _subset_sizes(k: int) -> np.ndarray:
     return sizes
 
 
-def _all_subset_rss(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """RSS of the intercept-plus-S least-squares fit for every bit mask S, indexed by mask.
+def _lattice(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Cross-products left after fitting the intercept and each subset of the leading columns.
 
-    cross and scale are _cross(x, y) for x = [x_0 .. x_{k-1}]; bit j of a mask
-    selects x_j.  One sweep down the subset lattice (Goodnight 1979): before
-    step j, stack[m] holds the cross-products of x_j .. x_{k-1} and y left
-    after fitting the intercept and the subset m of x_0 .. x_{j-1}.  Step j
-    drops x_j from each (the masks without bit j) and sweeps on it (the masks
-    with bit j), and stacks the halves in that order.  Where x_j adds nothing,
-    _sweep_first does not sweep it, so the subset with it keeps the RSS of the
-    subset without it.  The largest stacked array holds 2^(k-2) x 3 x 3 floats
-    (4.7 MB at k = 18).
+    cross is _cross(x, y) for x = [x_0 .. x_{k-1}]; scale holds the uncentered
+    sums of squares of the leading columns x_0 .. x_{j-1} to fit, j <= k.
+    Returns a (2^j, k-j+1, k-j+1) stack indexed by bit mask (bit i selects x_i):
+    stack[m] holds the cross-products of x_j .. x_{k-1} and y left after
+    fitting the intercept and the subset m.  One sweep down the subset lattice
+    (Goodnight 1979): step i drops x_i from each matrix (the masks without
+    bit i) and sweeps on it (the masks with bit i), and stacks the halves in
+    that order.  Where x_i adds nothing, _sweep_first does not sweep it, so
+    the subset with it keeps the fit of the subset without it.
     """
     stack = cross[None]
     for s in scale:
         swept, _ = _sweep_first(stack, s)
         stack = np.concatenate([stack[:, 1:, 1:], swept])
-    return np.maximum(stack[:, 0, 0], 0.0)
+    return stack
+
+
+def _all_subset_rss(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """RSS of the intercept-plus-S least-squares fit for every bit mask S, indexed by mask.
+
+    cross and scale are _cross(x, y); the lattice over every column of x
+    leaves each subset's residual sum of squares of y.  The largest stacked
+    array holds 2^(k-2) x 3 x 3 floats (4.7 MB at k = 18).
+    """
+    return np.maximum(_lattice(cross, scale)[:, 0, 0], 0.0)
 
 
 def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSelection:
-    """Best-subset selection by AIC, returning every model within AIC_DELTA of the best.
+    """Best-subset selection by AIC over all 2^k subsets, returning every model within AIC_DELTA of the best.
 
-    Exhaustive over all 2^k subsets for k <= MAX_EXHAUSTIVE; beyond that the
-    search is the union of models visited by greedy forward selection and
-    backward elimination.  Ties for best go to the smaller model.
+    Ties for best go to the smaller model.  Beyond MAX_LATTICE candidates the
+    lattice is swept over the first k - MAX_LATTICE columns only, which gives
+    one branch per subset of them.  Each branch's matrix is a _cross over the
+    other columns, so _all_subset_rss scores every model in it, bit for bit
+    as one unbranched sweep would.  No model in a branch fits better than its
+    largest one or has fewer predictors than its smallest one, which bounds
+    the branch's AIC from below (leaps and bounds, Furnival & Wilson 1974).
+    Branches are visited by ascending bound until a bound lies AIC_DELTA past
+    the best model found.
     """
     names = list(matrix.names if names is None else names)
     if len(names) > MAX_CANDIDATES:
@@ -296,18 +299,31 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
     cross, scale = _cross(x, y)
     k = len(names)
 
-    exhaustive = k <= MAX_EXHAUSTIVE
-    if exhaustive:
-        rss = _all_subset_rss(cross, scale)
-        screen = n * np.log(np.maximum(rss, _TINY_RSS) / n) + 2 * (_subset_sizes(k) + 2)
-        # np.log and math.log may differ in the last bit: the margin keeps
-        # every model within AIC_DELTA, and aic() then scores those exactly.
-        near = np.flatnonzero(screen - screen.min() < AIC_DELTA + 1e-6).tolist()
-        scored = {m: aic(n, float(rss[m]), m.bit_count()) for m in near}
-        n_models = 1 << k
-    else:
-        scored = _stepwise_scan(k, lambda m: aic(n, _subset_rss(cross, scale, m), m.bit_count()))
-        n_models = len(scored)
+    lead = max(0, k - MAX_LATTICE)
+    branches = _lattice(cross, scale[:lead])
+    rest = scale[lead:]
+    largest = branches
+    for s in rest:
+        largest, _ = _sweep_first(largest, s)
+    lead_sizes = _subset_sizes(lead)
+    bound = n * np.log(np.maximum(largest[:, 0, 0], _TINY_RSS) / n) + 2 * (lead_sizes + 2)
+    sizes = _subset_sizes(k - lead)
+    # np.log and math.log may differ in the last bit: the margin keeps every
+    # model within AIC_DELTA, and aic() then scores those exactly.  No branch's
+    # minimum lies below the global one, so the models near the running best
+    # hold every model near the final best.
+    margin = AIC_DELTA + 1e-6
+    best = math.inf
+    scored: dict[int, float] = {}
+    for h in np.argsort(bound, kind="stable").tolist():
+        if bound[h] >= best + margin:
+            break
+        rss = _all_subset_rss(branches[h], rest)
+        screen = n * np.log(np.maximum(rss, _TINY_RSS) / n) + 2 * (sizes + lead_sizes[h] + 2)
+        best = min(best, screen.min())
+        for t in np.flatnonzero(screen - best < margin).tolist():
+            m = h | t << lead
+            scored[m] = aic(n, float(rss[t]), m.bit_count())
 
     by_subset = {tuple(j for j in range(k) if m >> j & 1): v for m, v in scored.items()}
     best_subset = min(by_subset, key=lambda s: (by_subset[s], len(s), s))
@@ -322,39 +338,8 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
         best_aic=best_aic,
         candidates=[(to_names(s), v) for s, v in within],
         n_obs=n,
-        n_models=n_models,
-        exhaustive=exhaustive,
+        n_models=1 << k,
     )
-
-
-def _stepwise_scan(k: int, score: Callable[[int], float]) -> dict[int, float]:
-    """Greedy forward and backward passes over bit masks; every visited model is scored.
-
-    score maps a mask to its AIC.  Returns the AIC of every visited mask.
-    """
-    scored: dict[int, float] = {}
-
-    def best_of(step: list[int]) -> tuple[int, float]:
-        for m in step:
-            if m not in scored:
-                scored[m] = score(m)
-        cand = min(step, key=scored.__getitem__)
-        return cand, scored[cand]
-
-    full = (1 << k) - 1
-    current, best = best_of([0])
-    while current != full:
-        cand, value = best_of([current | 1 << j for j in range(k) if not current >> j & 1])
-        if value >= best:
-            break
-        current, best = cand, value
-    current, best = best_of([full])
-    while current:
-        cand, value = best_of([current & ~(1 << j) for j in range(k) if current >> j & 1])
-        if value >= best:
-            break
-        current, best = cand, value
-    return scored
 
 
 @dataclass
@@ -366,7 +351,7 @@ class RegressionSummary:
     std_errors: dict[str, float]
     t_values: dict[str, float]
     p_values: dict[str, float]
-    lmg_shares: dict[str, float] | None  # sum to r_squared; None if k > cap
+    lmg_shares: dict[str, float] | None  # sum to r_squared; None unless 1 <= k <= MAX_LATTICE
     r_squared: float
     adj_r_squared: float
     residual_se: float
@@ -419,17 +404,13 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
         f_stat = None
         f_p = None
     labels = ["(Intercept)"] + names
-    if 1 <= k <= MAX_LMG_PREDICTORS:
-        shares = _lmg_shares(cross, scale, names)
-    else:
-        shares = None
     return RegressionSummary(
         predictors=names,
         estimates={lab: float(b) for lab, b in zip(labels, beta)},
         std_errors={lab: float(s) for lab, s in zip(labels, se)},
         t_values={lab: float(t) for lab, t in zip(labels, t_vals)},
         p_values={lab: float(p) for lab, p in zip(labels, p_vals)},
-        lmg_shares=shares,
+        lmg_shares=_lmg_shares(cross, scale, names) if 1 <= k <= MAX_LATTICE else None,
         r_squared=r2,
         adj_r_squared=adj_r2,
         residual_se=math.sqrt(sigma2),
@@ -488,6 +469,17 @@ def _keyed_rows(
         yield reader.line_num, key, row
 
 
+def _header(reader: csv.DictReader, path: str | Path, kind: str) -> list[str]:
+    """The column names of a CSV, which must include JOIN_COLUMN and repeat none."""
+    names = reader.fieldnames
+    if names is None or JOIN_COLUMN not in names:
+        raise ValueError(f"{kind} CSV lacks a {JOIN_COLUMN!r} column")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise _csv_error(path, reader.line_num, name, "duplicate column")
+    return names
+
+
 def _index_value(text: str | None, path: str | Path, line: int, column: str) -> float | None:
     """An indices cell: blank means missing; anything else must be a finite number."""
     if text is None or text == "":
@@ -511,18 +503,17 @@ def load_feature_matrix(
 
     The target is either a single score column or the mean of the listed
     composite columns.  Rows without a usable score (blank or non-numeric)
-    are excluded; a blank index cell is missing.  A duplicate filename, a
-    non-numeric index cell, or a nan or inf cell in either file is a
-    ValueError naming the file, the line and the column.  Both files may
-    start with a UTF-8 byte order mark.
+    are excluded; a blank index cell is missing.  A repeated column name, a
+    duplicate filename, a non-numeric index cell, or a nan or inf cell in
+    either file is a ValueError naming the file, the line and the column.
+    Both files may start with a UTF-8 byte order mark.
     """
     scores: dict[str, float] = {}
     with open(scores_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or JOIN_COLUMN not in reader.fieldnames:
-            raise ValueError(f"scores CSV lacks a {JOIN_COLUMN!r} column")
+        header = _header(reader, scores_csv, "scores")
         wanted = composite_of if composite_of else [score_column]
-        missing = [c for c in wanted if c not in reader.fieldnames]
+        missing = [c for c in wanted if c not in header]
         if missing:
             raise ValueError(f"scores CSV lacks column(s): {', '.join(missing)}")
         for line, key, row in _keyed_rows(reader, scores_csv):
@@ -540,9 +531,7 @@ def load_feature_matrix(
     columns: dict[str, list[float | None]] = {}
     with open(indices_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or JOIN_COLUMN not in reader.fieldnames:
-            raise ValueError(f"indices CSV lacks a {JOIN_COLUMN!r} column")
-        feature_names = [c for c in reader.fieldnames if c != JOIN_COLUMN]
+        feature_names = [c for c in _header(reader, indices_csv, "indices") if c != JOIN_COLUMN]
         columns = {n: [] for n in feature_names}
         for line, key, row in _keyed_rows(reader, indices_csv):
             values = [_index_value(row[n], indices_csv, line, n) for n in feature_names]
@@ -608,10 +597,6 @@ def run_pipeline(
             dropped = [n for n in modeling if n not in vif_kept]
             notes.append("dropped for collinearity: " + ", ".join(dropped))
         selection = aic_select(complete, vif_kept)
-        if not selection.exhaustive:
-            notes.append(
-                f"subset search was stepwise (forward+backward) over {selection.n_models} models"
-            )
         summary = ols_fit(complete, list(selection.best))
     return PipelineResult(
         n_rows=matrix.n_rows(),

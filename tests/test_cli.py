@@ -447,6 +447,34 @@ def test_stats_subcommand_recovers_planted_model(tmp_path):
     assert "R^2" in text
 
 
+def test_stats_searches_every_subset_above_lattice_width(tmp_path):
+    # 19 independent features, each correlated with the score, all reach selection.
+    k, n = 19, 1000
+    rng = random.Random(19)
+    rows = [[rng.gauss(0, 1) for _ in range(k)] for _ in range(n)]
+    idx = tmp_path / "indices.csv"
+    sc = tmp_path / "scores.csv"
+    idx.write_text(
+        "filename," + ",".join(f"x{j}" for j in range(k)) + "\n"
+        + "".join(f"t{i}," + ",".join(f"{v:.9f}" for v in row) + "\n" for i, row in enumerate(rows)),
+        encoding="utf-8",
+    )
+    sc.write_text(
+        "filename,score\n"
+        + "".join(f"t{i},{sum(row) + rng.gauss(0, 1):.9f}\n" for i, row in enumerate(rows)),
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.txt"
+    rc = cli.main(
+        ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc), "--report", str(report)]
+    )
+    assert rc == 0
+    text = report.read_text(encoding="utf-8")
+    assert f"{k} candidates entered model selection" in text
+    assert "of 524288 models" in text
+    assert "stepwise" not in text
+
+
 def test_stats_constant_score_aborts(tmp_path, capsys):
     idx, sc = write_stats_csvs(tmp_path, n=20)
     sc.write_text(
@@ -561,8 +589,13 @@ for args in runs:
         ("indices", 6, "t4,4,abc", "beta", "non-numeric value 'abc'"),
         ("scores", 7, "t1,7", "filename", "duplicate 't1' (first at line 3)"),
         ("indices", 8, "t2,1,1", "filename", "duplicate 't2' (first at line 4)"),
+        ("indices", 1, "filename,alpha,alpha", "alpha", "duplicate column"),
+        ("scores", 1, "filename,score,score", "score", "duplicate column"),
     ],
-    ids=["index-nan", "index-inf", "score-inf", "index-text", "score-dup", "index-dup"],
+    ids=[
+        "index-nan", "index-inf", "score-inf", "index-text", "score-dup", "index-dup",
+        "index-dup-column", "score-dup-column",
+    ],
 )
 def test_stats_rejects_bad_csv_naming_file_line_column(
     tmp_path, capsys, which, lineno, text, column, problem

@@ -250,7 +250,6 @@ def test_aic_select_recovers_planted_feature():
     m = matrix_from(cols, y)
     sel = aic_select(m)
     assert sel.best == ("a",)
-    assert sel.exhaustive
     assert sel.n_models == 2 ** 6
 
 
@@ -292,16 +291,86 @@ def test_aic_select_rejects_too_many_candidates():
         aic_select(matrix_from(cols, [rng.gauss(0, 1) for _ in range(n)]))
 
 
-def test_aic_stepwise_fallback_used_above_exhaustive_cap():
-    rng = random.Random(5)
-    n = 120
-    cols = {f"f{j}": [rng.gauss(0, 1) for _ in range(n)] for j in range(20)}
-    a = [rng.gauss(0, 1) for _ in range(n)]
-    cols["a"] = a
-    y = [4 * v + rng.gauss(0, 0.5) for v in a]
-    sel = aic_select(matrix_from(cols, y))
-    assert not sel.exhaustive
-    assert "a" in sel.best
+def unbranched_selection(matrix, names):
+    """aic_select's answer from one sweep of the whole subset lattice, as for k <= 18."""
+    x, y, _ = matrix.complete(names)
+    n, k = x.shape
+    rss = stats._all_subset_rss(*stats._cross(x, y))
+    # Screen by np.log with a wide margin, then score the survivors exactly.
+    screen = n * np.log(np.maximum(rss, 1e-300) / n) + 2 * (stats._subset_sizes(k) + 2)
+    scored = {
+        tuple(j for j in range(k) if mask >> j & 1): aic(n, float(rss[mask]), mask.bit_count())
+        for mask in np.flatnonzero(screen - screen.min() < stats.AIC_DELTA + 1.0).tolist()
+    }
+    best = min(scored, key=lambda s: (scored[s], len(s), s))
+    within = sorted(
+        ((s, v) for s, v in scored.items() if v - scored[best] < stats.AIC_DELTA),
+        key=lambda item: (item[1], len(item[0]), item[0]),
+    )
+    to_names = lambda s: tuple(names[j] for j in s)
+    return to_names(best), scored[best], [(to_names(s), v) for s, v in within]
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    k=st.integers(19, 22),
+    n=st.sampled_from([40, 300]),
+    fresh=st.integers(3, 22),
+    seed=st.integers(0, 2**32 - 1),
+    const=st.sampled_from([0.0, 3.7, 1000.3]),
+)
+def test_aic_select_above_lattice_width_equals_unbranched_scan(k, n, fresh, seed, const):
+    # Columns from `fresh` on are copies of earlier ones and the last is a
+    # constant, shuffled so any may land among the leading columns the search
+    # branches on.  With few fresh columns a branch's largest model fits
+    # little better than its smallest, so its bound falls near the best AIC.
+    # The strongest column stays first, so the branches without it are pruned.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k))
+    y = 2.0 * x[:, 0] + 0.3 * x[:, 1] + rng.standard_normal(n) * 1.5 + 3.0
+    for j in range(min(fresh, k - 2), k - 1):
+        x[:, j] = x[:, rng.integers(0, j)]
+    x[:, k - 1] = const
+    x = x[:, [0] + (1 + rng.permutation(k - 1)).tolist()]
+    names = [f"f{j}" for j in range(k)]
+    m = matrix_from({nm: x[:, j].tolist() for j, nm in enumerate(names)}, y.tolist())
+    sel = aic_select(m)
+    assert sel.n_models == 2**k
+    assert (sel.best, sel.best_aic, sel.candidates) == unbranched_selection(m, names)
+
+
+def test_aic_select_keeps_candidates_in_branches_bounded_near_the_margin():
+    # The leading columns are a strong predictor and two noise columns, and
+    # the others copy them or are constant.  So every branch's largest model
+    # fits as {f0, f1, f2} does, and the branches holding f1 or f2 have
+    # bounds within AIC_DELTA of the best AIC: a bound set too high, or a
+    # stop rule too eager, loses their candidates.
+    rng = np.random.default_rng(8)
+    n, k = 100, 21
+    lead = rng.standard_normal((n, 3))
+    y = 2.0 * lead[:, 0] + rng.standard_normal(n)
+    rest = [lead[:, j % 3] if j % 4 < 3 else np.full(n, 3.7) for j in range(k - 3)]
+    x = np.column_stack([lead] + rest)
+    names = [f"f{j}" for j in range(k)]
+    m = matrix_from({nm: x[:, j].tolist() for j, nm in enumerate(names)}, y.tolist())
+    sel = aic_select(m)
+    assert (sel.best, sel.best_aic, sel.candidates) == unbranched_selection(m, names)
+
+
+def test_aic_select_finds_planted_feature_among_max_candidates():
+    rng = np.random.default_rng(5)
+    n, k = 2000, stats.MAX_CANDIDATES
+    x = rng.standard_normal((n, k))
+    y = 4.0 * x[:, 3] + rng.standard_normal(n)
+    names = [f"f{j}" for j in range(k)]
+    m = matrix_from({nm: x[:, j].tolist() for j, nm in enumerate(names)}, y.tolist())
+    with mock.patch.object(stats, "_all_subset_rss", wraps=stats._all_subset_rss) as scan:
+        sel = aic_select(m)
+    # f3 is a leading column: the bound prunes the branches without it.
+    assert scan.call_count <= 2 ** (k - stats.MAX_LATTICE - 1)
+    assert sel.n_models == 2**25
+    assert "f3" in sel.best
+    assert sel.best == sel.candidates[0][0]
 
 
 def lstsq_aic(x, y, subset):
@@ -330,7 +399,7 @@ def test_aic_select_matches_brute_force_lstsq(k, extra_rows, seed, const):
     names = [f"f{j}" for j in range(k)]
     m = matrix_from({nm: x[:, j].tolist() for j, nm in enumerate(names)}, y.tolist())
     sel = aic_select(m)
-    assert sel.exhaustive and sel.n_models == 2**k
+    assert sel.n_models == 2**k
 
     oracle = {
         tuple(names[j] for j in s): lstsq_aic(x, y, s)
@@ -386,8 +455,6 @@ def test_all_subset_rss_matches_lstsq_on_each_design(k, n, seed, const, shift):
         resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
         want = float(resid @ resid)
         assert abs(rss[mask] - want) <= 1e-9 * max(1.0, want)
-        # The stepwise search scores one mask at a time, by the same sweep.
-        assert abs(stats._subset_rss(cross, scale, mask) - want) <= 1e-9 * max(1.0, want)
 
 
 # --- OLS --------------------------------------------------------------------
@@ -445,6 +512,34 @@ def test_ols_lmg_sums_to_r_squared_random_design():
     ]
     fit = ols_fit(matrix_from(cols, y))
     assert sum(fit.lmg_shares.values()) == pytest.approx(fit.r_squared, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [16, stats.MAX_LATTICE])
+def test_ols_lmg_up_to_lattice_width_sums_to_r_squared(k):
+    rng = np.random.default_rng(k)
+    n = 200
+    x = rng.standard_normal((n, k))
+    y = x @ rng.uniform(-1.0, 1.0, k) + rng.standard_normal(n)
+    fit = ols_fit(matrix_from({f"f{j}": x[:, j].tolist() for j in range(k)}, y.tolist()))
+    assert len(fit.lmg_shares) == k
+    assert abs(sum(fit.lmg_shares.values()) - fit.r_squared) <= 1e-12
+
+
+def test_no_lmg_above_lattice_width():
+    # Every predictor carries signal, so the selected model keeps all of them.
+    k = stats.MAX_LATTICE + 1
+    rng = np.random.default_rng(19)
+    n = 500
+    x = rng.standard_normal((n, k))
+    y = x.sum(axis=1) + rng.standard_normal(n)
+    names = [f"f{j}" for j in range(k)]
+    result = run_pipeline(matrix_from({nm: x[:, j].tolist() for j, nm in enumerate(names)}, y.tolist()))
+    assert result.summary.predictors == names
+    assert result.summary.lmg_shares is None
+    table = format_report(result).split("Selected model")[1].splitlines()
+    rows = [line for line in table if line.split() and line.split()[0] in names]
+    assert len(rows) == k
+    assert all(line.endswith(" --") for line in rows)
 
 
 def lstsq_r_squared(x, y, subset):
