@@ -41,6 +41,12 @@ _SWEEP_TOL = 1e-12
 
 _SOA_SUFFIXES = ("AvMI", "AvT", "AvDeltaPLemma", "AvDeltaPStructure")
 
+# _betainc's continued fraction stops once a step moves it by less than this
+# share.  With one parameter at most 12.5 (d1 <= MAX_CANDIDATES), it takes
+# under 100 terms at any sample size; the cap only bounds the loop.
+_CF_EPS = 1e-15
+_CF_TERMS = 10_000
+
 
 @dataclass
 class FeatureMatrix:
@@ -362,11 +368,61 @@ class RegressionSummary:
     n_obs: int
 
 
-def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> RegressionSummary:
-    """Least-squares fit of the target on the named features plus an intercept."""
-    # Imported here so that commands which never fit a model skip loading it.
-    from scipy.special import fdtrc, stdtr
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), given x and its complement y = 1 - x.
 
+    y is passed, not formed as 1 - x, which would lose its relative accuracy
+    where it is small (a p near 1).  Lentz's continued fraction with a
+    log-gamma prefactor (Press et al., Numerical Recipes, 3rd ed., 6.4); past
+    (a + 1)/(a + b + 2), where the fraction converges slowly, it is taken on
+    1 - I_y(b, a).  x <= 0 gives 0 and y <= 0 gives 1.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, y, x)
+    # 1/(1 + d_1/(1 + d_2/(1 + ...))); the loop forms d_{2m} and d_{2m+1}.
+    # `or` swaps an exactly zero denominator for a tiny one (Lentz's guard).
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_TERMS):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / ((1.0 + num * d) or 1e-300)
+            c = (1.0 + num / c) or 1e-300
+            h *= c * d
+        if abs(c * d - 1.0) < _CF_EPS:
+            break
+    # x^a y^b / (a B(a, b)) times the fraction, multiplied in logs so that
+    # no factor underflows where the product does not.
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return math.exp(log_front + a * math.log(x) + b * math.log(y) + math.log(h / a))
+
+
+def _f_tail(f: float, d1: int, d2: int) -> float:
+    """Upper tail of the F distribution on (d1, d2) degrees of freedom: I_x(d2/2, d1/2) at x = d2/(d2 + d1 f).
+
+    The two-sided p of a t on df degrees of freedom is _f_tail(t * t, 1, df).
+    A nan gives nan, and an f whose d1 f overflows gives 0.
+    """
+    s = d1 * f
+    if math.isnan(s):
+        return math.nan
+    if s == math.inf:
+        return 0.0
+    return _betainc(d2 / 2, d1 / 2, d2 / (d2 + s), s / (d2 + s))
+
+
+def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> RegressionSummary:
+    """Least-squares fit of the target on the named features plus an intercept.
+
+    A fit with no residual has SEs of 0: its t is then +-inf with a p of 0,
+    or nan with a p of nan where the estimate is 0 too.
+    """
     names = list(matrix.names if names is None else names)
     x, y, _ = matrix.complete(names)
     n, k = x.shape
@@ -393,13 +449,14 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     sigma2 = rss / df_resid
     cov = np.linalg.inv(a.T @ a) * sigma2
     se = np.sqrt(np.diag(cov))
-    t_vals = beta / se
-    p_vals = 2.0 * stdtr(df_resid, -np.abs(t_vals))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_vals = beta / se
+    p_vals = [_f_tail(t * t, 1, df_resid) for t in t_vals.tolist()]
     r2 = 1.0 - rss / tss
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df_resid
     if k > 0:
         f_stat = (r2 / k) / ((1.0 - r2) / df_resid) if r2 < 1.0 else math.inf
-        f_p = float(fdtrc(k, df_resid, f_stat)) if math.isfinite(f_stat) else 0.0
+        f_p = _f_tail(f_stat, k, df_resid)
     else:
         f_stat = None
         f_p = None
@@ -409,7 +466,7 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
         estimates={lab: float(b) for lab, b in zip(labels, beta)},
         std_errors={lab: float(s) for lab, s in zip(labels, se)},
         t_values={lab: float(t) for lab, t in zip(labels, t_vals)},
-        p_values={lab: float(p) for lab, p in zip(labels, p_vals)},
+        p_values=dict(zip(labels, p_vals)),
         lmg_shares=_lmg_shares(cross, scale, names) if 1 <= k <= MAX_LATTICE else None,
         r_squared=r2,
         adj_r_squared=adj_r2,
@@ -614,6 +671,9 @@ def run_pipeline(
 
 
 def _fmt_p(p: float) -> str:
+    """A p-value to three decimals; nan, from a t of 0/0, is shown as --."""
+    if math.isnan(p):
+        return "--"
     return "<.001" if p < 0.001 else f"{p:.3f}".lstrip("0")
 
 
@@ -660,12 +720,13 @@ def format_report(result: PipelineResult) -> str:
         est = summary.estimates[label]
         se = summary.std_errors[label]
         t = summary.t_values[label]
+        t_txt = f"{'--':>8}" if math.isnan(t) else f"{t:>8.2f}"
         p = _fmt_p(summary.p_values[label])
         if summary.lmg_shares is not None and label in summary.lmg_shares and summary.r_squared > 0:
             imp = f"{100.0 * summary.lmg_shares[label] / summary.r_squared:>11.1f}"
         else:
             imp = f"{'--':>11}"
-        lines.append(f"{label:<28} {est:>10.4f} {se:>9.4f} {t:>8.2f} {p:>7} {imp}")
+        lines.append(f"{label:<28} {est:>10.4f} {se:>9.4f} {t_txt} {p:>7} {imp}")
     fit = (
         f"R^2 = {summary.r_squared:.3f} (adj. {summary.adj_r_squared:.3f}); "
         f"residual SE = {summary.residual_se:.3f}"
