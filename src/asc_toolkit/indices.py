@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Hashable, Iterator, Mapping, Sequence
 
@@ -141,14 +141,22 @@ def frequency_index(
     Tokens absent from the reference, or below min_ref_freq, are excluded
     from both the sum and the denominator; None if nothing survives.
     """
-    logs = []
-    for sym in tokens:
-        f_ref = lookup.get(sym, 0)
-        if f_ref >= min_ref_freq:
-            logs.append(math.log(f_ref))
-    if not logs:
+    return _mean_log(tokens, lookup, min_ref_freq, {})
+
+
+def _mean_log(
+    tokens: Sequence[Hashable],
+    lookup: Mapping[Hashable, int],
+    min_ref_freq: int,
+    logs: dict[int, float],
+) -> float | None:
+    """frequency_index, with each count's log taken from logs, which it fills."""
+    counts = [f for f in map(lookup.get, tokens, repeat(0)) if f >= min_ref_freq]
+    if not counts:
         return None
-    return sum(logs) / len(logs)
+    for f in set(counts).difference(logs):
+        logs[f] = math.log(f)
+    return sum(map(logs.__getitem__, counts)) / len(counts)
 
 
 def expected_frequency(cells: ContingencyCells) -> float:
@@ -188,38 +196,33 @@ def soa_indices(ascs: Sequence[AscToken], norm: NormTable) -> IndexVector:
 
     MI and t-score are undefined for pairs unattested in the reference
     (a = 0); such tokens drop out of those means but still contribute to
-    the delta-P means.  Empty means are None.
+    the delta-P means.  Empty means are None.  Each pair is scored once per
+    norm table, into norm.pair_scores.
     """
-    # One list per metric, overall and per type, filled in token order so each
-    # mean sums the same values in the same order as a per-metric rescan.
-    overall: list[list[float]] = [[] for _ in SOA_METRICS]
-    by_type = {t: [[] for _ in SOA_METRICS] for t in ASC_TYPES}
-    scores: dict[tuple[str, str], tuple[float | None, ...]] = {}
+    scores = norm.pair_scores
+    # One row of scores per token, overall and per type, in token order, so
+    # each mean sums the same values in the same order as a per-metric rescan.
+    rows: list[tuple[float | None, ...]] = []
+    by_type: dict[str, list[tuple[float | None, ...]]] = {t: [] for t in ASC_TYPES}
     for tok in ascs:
         key = (tok.asc_type, tok.verb_lemma)
         vals = scores.get(key)
         if vals is None:
-            cells = contingency(norm, tok.asc_type, tok.verb_lemma)
+            cells = contingency(norm, *key)
             vals = scores[key] = (mi(cells), t_score(cells), dp_lemma(cells), dp_structure(cells))
-        typed = by_type.get(tok.asc_type, ())
-        for i, v in enumerate(vals):
-            if v is not None:
-                overall[i].append(v)
-                if typed:
-                    typed[i].append(v)
+        rows.append(vals)
+        typed = by_type.get(key[0])
+        if typed is not None:
+            typed.append(vals)
     out: IndexVector = {}
-    for m, values in zip(SOA_METRICS, overall):
-        out[f"ascAv{m}"] = _mean(values)
-    for tag in ASC_TYPES:
-        for m, values in zip(SOA_METRICS, by_type[tag]):
-            out[f"{tag}_Av{m}"] = _mean(values)
+    for prefix, group in (("ascAv", rows), *((f"{t}_Av", by_type[t]) for t in ASC_TYPES)):
+        if not group:
+            out.update(dict.fromkeys([prefix + m for m in SOA_METRICS]))
+            continue
+        for m, values in zip(SOA_METRICS, zip(*group)):
+            kept = [v for v in values if v is not None]
+            out[prefix + m] = sum(kept) / len(kept) if kept else None
     return out
-
-
-def _mean(values: list[float]) -> float | None:
-    if not values:
-        return None
-    return sum(values) / len(values)
 
 
 def compute_from_tags(
@@ -231,8 +234,10 @@ def compute_from_tags(
     types, pairs, no_be = _sequences(tags)
     values = _diversity(types, pairs, no_be, cfg.window)
     values.update(proportion_indices(tags))
-    values["ascAvFreq"] = frequency_index(types, norm.type_counts, cfg.min_ref_freq)
-    values["ascLemmaAvFreq"] = frequency_index(pairs, norm.pair_counts, cfg.min_ref_freq)
+    values["ascAvFreq"] = _mean_log(types, norm.type_counts, cfg.min_ref_freq, norm.count_logs)
+    values["ascLemmaAvFreq"] = _mean_log(
+        pairs, norm.pair_counts, cfg.min_ref_freq, norm.count_logs
+    )
     values.update(soa_indices(tags, norm))
     return {name: values[name] for name in INDEX_NAMES}
 

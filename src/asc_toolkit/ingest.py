@@ -6,7 +6,6 @@ left to whatever UD parser produced the file.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,8 @@ from typing import Iterable
 _SMALL_INTS = {str(i): i for i in range(1024)}
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
+# The carriage returns that end a line of str input, as rstrip("\r\n") drops them.
+_LINE_END_CR = re.compile(r"\r+$", re.MULTILINE)
 
 
 class ConlluError(ValueError):
@@ -68,19 +69,26 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
     of a sentence must run 1, 2, ..., n in order; multiword-token ranges
     ("3-4") and empty nodes ("3.1") are dropped.  Comment lines and columns
     other than ID/FORM/LEMMA/UPOS/HEAD/DEPREL are ignored.
+
+    A str is split into lines at each line feed, and the carriage returns
+    that end a line are dropped; any other iterable gives one line per item,
+    less its trailing line breaks.  Only an empty line ends a sentence.
     """
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
+        if "\r" in stream:
+            stream = _LINE_END_CR.sub("", stream)
+        lines: Iterable[str] = stream.split("\n")
+    else:
+        lines = (raw.rstrip("\r\n") for raw in stream)
     sentences: list[Sentence] = []
     current: list[Token] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if line == "":
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
             if current:
                 sentences.append(_finish_sentence(current, len(sentences)))
                 current = []
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) != 10:
@@ -113,10 +121,14 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
 
 
 def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Document:
-    """Parse a UTF-8 CoNLL-U file; a leading byte order mark is skipped."""
+    """Parse a UTF-8 CoNLL-U file, read whole; a leading byte order mark is skipped.
+
+    Lines end at a line feed, a carriage return, or the two together.
+    """
     path = Path(path)
     with open(path, encoding="utf-8-sig") as fh:
-        return parse_conllu(fh, source_id=source_id if source_id is not None else path.name)
+        text = fh.read()
+    return parse_conllu(text, source_id=source_id if source_id is not None else path.name)
 
 
 def _finish_sentence(tokens: list[Token], index: int) -> Sentence:

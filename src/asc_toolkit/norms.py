@@ -23,6 +23,10 @@ class NormTableError(ValueError):
     """Raised for unusable norm tables (empty, malformed, inconsistent)."""
 
 
+# NormTable fields that hold per-run memos, not the table.
+_MEMOS = ("pair_scores", "count_logs")
+
+
 @dataclass(slots=True)
 class ContingencyCells:
     """2x2 cells for one (construction, lemma) pair against a reference corpus.
@@ -47,6 +51,11 @@ class NormTable:
 
     type_counts, lemma_counts and total are the per-construction and
     per-lemma sums of pair_counts and their total, set on construction.
+
+    pair_scores and count_logs are memos that the indices fill on first use,
+    so a run scores each (construction, lemma) pair and takes each count's
+    log once.  They are derived from the counts and take no part in
+    equality, repr or pickling: an unpickled copy starts them empty.
     """
 
     pair_counts: dict[tuple[str, str], int]
@@ -55,6 +64,12 @@ class NormTable:
     total: int = field(init=False)
     source: str = ""
     version: str = NORM_FORMAT_VERSION
+    pair_scores: dict[tuple[str, str], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    count_logs: dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         type_counts: Counter[str] = Counter()
@@ -72,6 +87,12 @@ class NormTable:
                 raise NormTableError(f"inconsistent norm table: count {n} for ({c}, {v})")
             if c not in ASC_TYPES:
                 raise NormTableError(f"inconsistent norm table: unknown construction tag {c!r}")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, pair_scores={}, count_logs={})
 
 
 def build_norms(

@@ -46,6 +46,9 @@ _SOA_SUFFIXES = ("AvMI", "AvT", "AvDeltaPLemma", "AvDeltaPStructure")
 # under 100 terms at any sample size; the cap only bounds the loop.
 _CF_EPS = 1e-15
 _CF_TERMS = 10_000
+# Where _log_beta takes Stirling's series: its first omitted term,
+# 1/(1680 z^7), is then under 1e-17.
+_STIRLING_MIN = 100.0
 
 
 @dataclass
@@ -385,7 +388,10 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
         return 1.0 - _betainc(b, a, y, x)
     # 1/(1 + d_1/(1 + d_2/(1 + ...))); the loop forms d_{2m} and d_{2m+1}.
     # `or` swaps an exactly zero denominator for a tiny one (Lentz's guard).
-    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    # 1 + d_1 = 1 - (a + b) x/(a + 1) is formed from y, as ((a + 1) y + (1 - b) x)/(a + 1):
+    # near the swap point it is about 2/(a + b), which the plain difference
+    # would leave with a relative error of about (a + b) times the rounding.
+    c, d = 1.0, (a + 1.0) / ((a + 1.0) * y + (1.0 - b) * x)
     h = d
     for m in range(1, _CF_TERMS):
         for num in (
@@ -398,9 +404,33 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
         if abs(c * d - 1.0) < _CF_EPS:
             break
     # x^a y^b / (a B(a, b)) times the fraction, multiplied in logs so that
-    # no factor underflows where the product does not.
-    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    return math.exp(log_front + a * math.log(x) + b * math.log(y) + math.log(h / a))
+    # no factor underflows where the product does not.  The log of x or y
+    # past 1/2 is log1p of minus the other: its own rounding would move
+    # a log x by about a * 1e-16, too much at large df.
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    return math.exp(a * log_x + b * log_y - _log_beta(a, b) + math.log(h / a))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b), for a, b > 0.
+
+    From _STIRLING_MIN on in the larger argument, a say, lgamma(a + b) -
+    lgamma(a) is formed by Stirling's series, as (a - 1/2) log1p(b/a) +
+    b log(a + b) - b plus the difference of the two series tails; taken as
+    the difference of two lgamma values, it would cancel as a grows.
+    """
+    a, b = max(a, b), min(a, b)
+    if a < _STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    rise = (a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b
+    return math.lgamma(b) - rise - _stirling_tail(a + b) + _stirling_tail(a)
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi)/2), within 1e-17 for z >= _STIRLING_MIN."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w / 1260.0)) / z
 
 
 def _f_tail(f: float, d1: int, d2: int) -> float:

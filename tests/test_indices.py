@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from asc_toolkit.indices import (
     t_score,
 )
 from asc_toolkit.ingest import Document, parse_conllu
-from asc_toolkit.norms import ContingencyCells, NormTable, contingency, load_norms
+from asc_toolkit.norms import ContingencyCells, NormTable, contingency, load_norms, save_norms
 from asc_toolkit.tagger import ASC_TYPES, AscToken, tag_document
 
 
@@ -290,6 +291,48 @@ def test_soa_indices_equal_the_rescanning_definition(pairs):
     expected = rescanned_soa(make_tags(pairs), norm)
     assert len(expected) == 4 + 4 * len(ASC_TYPES)
     assert out == expected  # exact: same values summed in the same order
+
+
+def _saved(norm, directory):
+    path = directory / "norm.tsv"
+    save_norms(norm, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.tuples(st.sampled_from(_TYPES), st.sampled_from(_LEMMAS)), max_size=40),
+        min_size=1,
+        max_size=8,
+    ),
+    min_ref_freq=st.sampled_from([1, 5]),
+    window=st.sampled_from([2, 11]),
+)
+def test_one_norm_serving_many_texts_scores_each_as_a_fresh_norm(
+    texts, min_ref_freq, window, tmp_path_factory
+):
+    """The per-run score and log tables change no value, and no part of the table's identity."""
+    path = resolve_source("demo")
+    norm, cfg = load_norms(path), IndexConfig(window=window, min_ref_freq=min_ref_freq)
+    for pairs in texts:
+        out = compute_from_tags(make_tags(pairs), norm, cfg)
+        assert out == compute_from_tags(make_tags(pairs), load_norms(path), cfg)
+        for name, lookup, keys in (
+            ("ascAvFreq", norm.type_counts, [c for c, _ in pairs]),
+            ("ascLemmaAvFreq", norm.pair_counts, pairs),
+        ):
+            logs = [math.log(lookup[k]) for k in keys if lookup.get(k, 0) >= min_ref_freq]
+            assert out[name] == (sum(logs) / len(logs) if logs else None)
+    fresh = load_norms(path)
+    assert norm.pair_scores or not any(texts)  # the tables were filled
+    assert norm == fresh
+    assert repr(norm) == repr(fresh)
+    assert pickle.dumps(norm) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(norm))
+    assert copy == norm and not copy.pair_scores and not copy.count_logs
+    directory = tmp_path_factory.mktemp("norms")
+    assert _saved(norm, directory) == _saved(fresh, directory)
 
 
 def test_compute_all_empty_document():

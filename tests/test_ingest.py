@@ -136,6 +136,61 @@ def test_bom_prefixed_file_parses_like_the_plain_file(frames_dir, tmp_path):
     assert parse_conllu_file(bom) == parse_conllu_file(plain)
 
 
+TWO = BARKED + "\n" + BARKED  # two sentences on lines 1-4 and 6-9
+NINE_COLUMNS = "1\tx\tx\tX\t_\t_\t0\troot\t_\n"  # appended to TWO, it is line 10
+LINE_10 = "line 10: malformed token line (9 columns, expected 10)"
+
+
+def _dog_form(form):
+    doc = parse_conllu(TWO)
+    doc.sentences[0].tokens[1].form = form
+    return doc.sentences
+
+
+@pytest.mark.parametrize(
+    "form, text, expected",
+    [
+        ("str", TWO.replace("\n", "\r\n"), None),
+        ("str", TWO.replace("\n", "\r\r\n"), None),
+        ("str", TWO.replace("\tdog\t", "\tdo\rg\t", 1), _dog_form("do\rg")),
+        ("str", (TWO + NINE_COLUMNS).replace("\n", "\r\n"), LINE_10),
+        # A lone carriage return ends no line of str input: all 8 tokens are line 1.
+        ("str", TWO.replace("\n", "\r"), "line 1: malformed token line (73 columns, expected 10)"),
+        ("str", "\ufeff" + TWO, "line 1: malformed token line (non-integer id '\\ufeff1')"),
+        ("file", TWO.replace("\n", "\r"), None),
+        ("file", (TWO + NINE_COLUMNS).replace("\n", "\r"), LINE_10),
+        # A file reads \r\r\n as two line breaks, so token 1 is a sentence alone.
+        ("file", TWO.replace("\n", "\r\r\n"), "sentence 0: headless sentence (no head=0 token)"),
+        ("file", TWO.rstrip("\n"), None),
+        ("file", "\ufeff" + TWO.replace("\n", "\r\n"), None),
+        ("lines", TWO.splitlines(keepends=True), None),
+        ("lines", TWO.splitlines(), None),
+        ("lines", TWO.replace("\n", "\r\n").splitlines(keepends=True), None),
+        ("lines", (TWO + NINE_COLUMNS).splitlines(), LINE_10),
+    ],
+    ids=[
+        "str-crlf", "str-cr-crlf", "str-lone-cr-in-a-field", "str-crlf-error-line",
+        "str-lone-cr-breaks", "str-bom", "file-lone-cr-breaks", "file-lone-cr-error-line",
+        "file-cr-crlf", "file-no-final-newline", "file-bom-crlf", "lines-with-ends",
+        "lines-without-ends", "lines-with-crlf-ends", "lines-error-line",
+    ],
+)
+def test_line_endings_and_input_forms(form, text, expected, tmp_path):
+    """Each line ending and input form parses as it always has; None means as TWO does."""
+    if form == "file":
+        path = tmp_path / "t.conllu"
+        path.write_bytes(text.encode("utf-8"))
+        parse = lambda: parse_conllu_file(path)
+    else:
+        parse = lambda: parse_conllu(text)
+    if isinstance(expected, str):
+        with pytest.raises(ConlluError) as exc:
+            parse()
+        assert str(exc.value) == expected
+    else:
+        assert parse().sentences == (parse_conllu(TWO).sentences if expected is None else expected)
+
+
 def test_non_decimal_unicode_digits_are_rejected_with_the_line():
     # '²' is a digit to str.isdigit() but not a decimal, and int('²') fails.
     good = "1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"

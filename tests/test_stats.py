@@ -593,13 +593,23 @@ def test_t_tails_equal_closed_forms():
         assert relative_error(stats._f_tail(t * t, 1, 2), 2 / (v * (v + t))) <= 1e-13
 
 
-@pytest.mark.parametrize("d2", [1, 2, 3, 4, 5, 10, 20])
+@pytest.mark.parametrize("d2", [1, 2, 3, 4, 5, 10, 20, 10**5, 10**6, 10**7])
 def test_f_tails_with_two_numerator_df_equal_the_closed_form(d2):
     # d1 = 2: sf = (d2/(d2 + 2F))^(d2/2), checked down to 1e-300.
-    for f in TAIL_GRID:
-        want = (d2 / (d2 + 2 * f)) ** (d2 / 2)
-        if want >= 1e-300:
-            assert relative_error(stats._f_tail(f, 2, d2), want) <= 1e-13
+    if d2 <= 20:
+        for f in TAIL_GRID:
+            want = (d2 / (d2 + 2 * f)) ** (d2 / 2)
+            if want >= 1e-300:
+                assert relative_error(stats._f_tail(f, 2, d2), want) <= 1e-13
+        return
+    # At large d2, where log-gamma differences cancel, the closed form is
+    # written as exp(-d2/2 log1p(2F/d2)), which does not; F from 0.01 to 6.
+    # Each of _betainc's three guards against cancellation (the Stirling
+    # prefactor, the log1p logs, the first fraction term from y) is needed
+    # here: without any one of them the error at 1e7 is 4.5e-10 to 1e-8.
+    for f in [0.01 * 1.05**i for i in range(132)]:
+        want = math.exp(-d2 / 2 * math.log1p(2 * f / d2))
+        assert relative_error(stats._f_tail(f, 2, d2), want) <= 1e-12
 
 
 @pytest.mark.parametrize("df", [1, 2, 7, 60, 2000])
