@@ -139,6 +139,7 @@ def test_bom_prefixed_file_parses_like_the_plain_file(frames_dir, tmp_path):
 TWO = BARKED + "\n" + BARKED  # two sentences on lines 1-4 and 6-9
 NINE_COLUMNS = "1\tx\tx\tX\t_\t_\t0\troot\t_\n"  # appended to TWO, it is line 10
 LINE_10 = "line 10: malformed token line (9 columns, expected 10)"
+LINE_1_73 = "line 1: malformed token line (73 columns, expected 10)"
 
 
 def _dog_form(form):
@@ -155,7 +156,7 @@ def _dog_form(form):
         ("str", TWO.replace("\tdog\t", "\tdo\rg\t", 1), _dog_form("do\rg")),
         ("str", (TWO + NINE_COLUMNS).replace("\n", "\r\n"), LINE_10),
         # A lone carriage return ends no line of str input: all 8 tokens are line 1.
-        ("str", TWO.replace("\n", "\r"), "line 1: malformed token line (73 columns, expected 10)"),
+        ("str", TWO.replace("\n", "\r"), LINE_1_73),
         ("str", "\ufeff" + TWO, "line 1: malformed token line (non-integer id '\\ufeff1')"),
         ("file", TWO.replace("\n", "\r"), None),
         ("file", (TWO + NINE_COLUMNS).replace("\n", "\r"), LINE_10),
@@ -170,25 +171,25 @@ def _dog_form(form):
     ],
     ids=[
         "str-crlf", "str-cr-crlf", "str-lone-cr-in-a-field", "str-crlf-error-line",
-        "str-lone-cr-breaks", "str-bom", "file-lone-cr-breaks", "file-lone-cr-error-line",
+        "str-lone-cr-between-lines", "str-bom", "file-lone-cr-breaks", "file-lone-cr-error-line",
         "file-cr-crlf", "file-no-final-newline", "file-bom-crlf", "lines-with-ends",
         "lines-without-ends", "lines-with-crlf-ends", "lines-error-line",
     ],
 )
 def test_line_endings_and_input_forms(form, text, expected, tmp_path):
     """Each line ending and input form parses as it always has; None means as TWO does."""
+    parse = parse_conllu
     if form == "file":
         path = tmp_path / "t.conllu"
         path.write_bytes(text.encode("utf-8"))
-        parse = lambda: parse_conllu_file(path)
-    else:
-        parse = lambda: parse_conllu(text)
+        parse, text = parse_conllu_file, path
     if isinstance(expected, str):
         with pytest.raises(ConlluError) as exc:
-            parse()
+            parse(text)
         assert str(exc.value) == expected
     else:
-        assert parse().sentences == (parse_conllu(TWO).sentences if expected is None else expected)
+        want = parse_conllu(TWO).sentences if expected is None else expected
+        assert parse(text).sentences == want
 
 
 def test_non_decimal_unicode_digits_are_rejected_with_the_line():
