@@ -39,6 +39,11 @@ JOIN_COLUMN = "filename"
 # for pearson, VIF pruning, AIC selection and the OLS fit alike.
 _SWEEP_TOL = 1e-12
 
+# VIFs equal in exact arithmetic, such as the two of a pair of columns, may
+# differ in their last bits; vif_prune counts VIFs within this share of the
+# largest as tied.
+_VIF_TIE = 1e-9
+
 _SOA_SUFFIXES = ("AvMI", "AvT", "AvDeltaPLemma", "AvDeltaPStructure")
 
 # _betainc's continued fraction stops once a step moves it by less than this
@@ -84,10 +89,8 @@ class FeatureMatrix:
         at least one requested column.
         """
         sub = self.restrict(names)
-        cols = [sub.columns[n] for n in names]
-        x = np.array([[c[i] for c in cols] for i in range(sub.n_rows())], dtype=float)
-        x = x.reshape(sub.n_rows(), len(names))
-        return x, np.array(sub.target, dtype=float), self.n_rows() - sub.n_rows()
+        x = np.array([sub.columns[n] for n in names], dtype=float).reshape(len(names), sub.n_rows())
+        return x.T, np.array(sub.target, dtype=float), self.n_rows() - sub.n_rows()
 
     def restrict(self, names: list[str]) -> "FeatureMatrix":
         """Submatrix with only listwise-complete rows over the given columns."""
@@ -199,6 +202,29 @@ def _sweep_first(stack: np.ndarray, scale: float | np.ndarray) -> tuple[np.ndarr
     return rest - (stack[:, 1:, 0] * inv[:, None])[:, :, None] * stack[:, None, 0, 1:], ok
 
 
+def _sweep_all(cross: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Fit the first k = len(scale) columns of a cross-product matrix, keeping the inverse.
+
+    cross is (p, p), as from _cross; scale holds the uncentered sums of
+    squares of the k columns to fit.  cross is bordered with [I; 0] on the
+    right and its transpose below, and _sweep_first sweeps the first k
+    columns in turn (Goodnight 1979).  That leaves the (p, p) remainder
+    [[R, -B'], [-B, -C^-1]]: C is the k fitted columns' cross-products, B
+    (k x (p - k)) their coefficients on the other columns, and R what is left
+    of those columns' cross-products after the fit.  Also returns the
+    positions whose pivot failed the _SWEEP_TOL rule; such a column is not
+    swept, and its row of B and its row and column of C^-1 are 0.
+    """
+    border = np.eye(len(cross), len(scale))
+    stack = np.block([[cross, border], [border.T, np.zeros((len(scale),) * 2)]])[None]
+    failed = []
+    for j, s in enumerate(scale):
+        stack, ok = _sweep_first(stack, s)
+        if not ok[0]:
+            failed.append(j)
+    return stack[0], failed
+
+
 def vif_prune(
     matrix: FeatureMatrix,
     names: list[str] | None = None,
@@ -208,7 +234,8 @@ def vif_prune(
 
     Stops once all VIFs are below the limit or a single feature remains.
     Perfectly collinear (or constant) features have infinite VIF and go
-    first; among ties the later column is dropped.
+    first; VIFs within a relative _VIF_TIE of the largest count as tied,
+    and among ties the later column is dropped.
     """
     names = list(matrix.names if names is None else names)
     if len(names) < 2:
@@ -216,19 +243,15 @@ def vif_prune(
     cross, scale = _cross(*matrix.complete(names)[:2])
     keep = list(range(len(names)))
     while len(keep) >= 2:
-        # Matrix i of the stack orders the kept columns with keep[i] last, so
-        # sweeping the others leaves keep[i]'s residual sum of squares given them.
-        order = np.array([[c for c in keep if c != j] + [j] for j in keep])
-        stack = cross[order[:, :, None], order[:, None, :]]
-        for step in range(len(keep) - 1):
-            stack, _ = _sweep_first(stack, scale[order[:, step]])
-        _, ok = _sweep_first(stack, scale[keep])
-        vifs = np.full(len(keep), math.inf)
-        np.divide(np.diag(cross)[keep], stack[:, 0, 0], out=vifs, where=ok)
-        worst = len(keep) - 1 - int(np.argmax(vifs[::-1]))
-        if vifs[worst] < limit:
+        inverse, failed = _sweep_all(cross[np.ix_(keep, keep)], scale[keep])
+        if failed:
+            # The latest column of any exact dependency fails its pivot.
+            del keep[failed[-1]]
+            continue
+        vifs = np.diag(cross)[keep] * -np.diag(inverse)
+        if vifs.max() < limit:
             break
-        del keep[worst]
+        del keep[int(np.flatnonzero(vifs >= (1.0 - _VIF_TIE) * vifs.max())[-1])]
     return [names[j] for j in keep]
 
 
@@ -459,26 +482,23 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     if n <= k + 1:
         raise ValueError(f"need more than {k + 1} complete rows, got {n}")
     cross, scale = _cross(x, y)
-    # A column that adds nothing given the intercept and the columns before it.
-    stack, dependent = cross[None], []
-    for j, name in enumerate(names):
-        stack, ok = _sweep_first(stack, scale[j])
-        if not ok[0]:
-            dependent.append(name)
-    if dependent:
-        raise ValueError("rank-deficient design; collinear columns: " + ", ".join(dependent))
+    # rest is [[RSS, -slopes'], [-slopes, -C^-1]], C the predictors' centred
+    # cross-products; a column fails if it adds nothing given the intercept
+    # and the columns before it.
+    rest, failed = _sweep_all(cross, scale)
+    if failed:
+        dependent = ", ".join(names[j] for j in failed)
+        raise ValueError("rank-deficient design; collinear columns: " + dependent)
     _, ok = _sweep_first(cross[None, -1:, -1:], y @ y)
     if not ok[0]:
         raise ValueError("constant vector")
-    a = np.column_stack([np.ones(n), x])
-    beta, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ beta
-    rss = float(resid @ resid)
+    slopes, inv, x_mean = -rest[1:, 0], -rest[1:, 1:], x.mean(axis=0)
+    beta = np.concatenate([[y.mean() - x_mean @ slopes], slopes])
+    rss = max(float(rest[0, 0]), 0.0)
     tss = float(cross[-1, -1])
     df_resid = n - k - 1
     sigma2 = rss / df_resid
-    cov = np.linalg.inv(a.T @ a) * sigma2
-    se = np.sqrt(np.diag(cov))
+    se = np.sqrt(sigma2 * np.concatenate([[1.0 / n + x_mean @ inv @ x_mean], np.diag(inv)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = beta / se
     p_vals = [_f_tail(t * t, 1, df_resid) for t in t_vals.tolist()]
