@@ -16,7 +16,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from importlib import resources
 from pathlib import Path
@@ -190,18 +189,21 @@ def _replace_on_success(path: str | Path | None) -> Iterator[TextIO | None]:
 
 
 def cmd_analyze(args) -> int:
-    input_dir = Path(args.input_dir)
-    if not input_dir.is_dir():
-        raise ValueError(f"input dir {input_dir} does not exist")
-    files = discover_files(input_dir, args.recursive)
-    if not files:
-        raise ValueError(f"no .conllu files found in {input_dir}")
+    # Flags first, so that a bad one is a usage error whatever the input dir holds.
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
     try:
         cfg = IndexConfig(window=args.window, min_ref_freq=args.min_ref_freq)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    input_dir = Path(args.input_dir)
+    if not input_dir.is_dir():
+        raise ValueError(f"input dir {input_dir} does not exist")
+    files = discover_files(input_dir, args.recursive)
+    if not files:
+        raise ValueError(f"no .conllu files found in {input_dir}")
+    # Each worker forked holds a copy of the norm table: no more of them than files.
+    jobs = min(args.jobs, len(files))
     norm = load_norms(resolve_source(args.source))
     want_debug = args.debug_tags is not None
     out_path = Path(args.output_csv)
@@ -211,12 +213,15 @@ def cmd_analyze(args) -> int:
         out = stack.enter_context(_replace_on_success(out_path))
         debug = stack.enter_context(_replace_on_success(args.debug_tags))
         # Results arrive in file order, which discover_files sorted by key.
-        if args.jobs == 1:
+        if jobs == 1:
             results = (_analyze_one(path, key, norm, cfg, want_debug) for key, path in files)
         else:
+            # Imported here: multiprocessing adds tens of milliseconds to start-up.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(
                 ProcessPoolExecutor(
-                    max_workers=args.jobs,
+                    max_workers=jobs,
                     initializer=_init_worker,
                     initargs=(norm, cfg, want_debug),
                 )

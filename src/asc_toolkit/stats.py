@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
+# numpy is imported inside each function that uses it, not here: cli imports
+# this module at start-up, and analyze and build-norms never need numpy.
 
 # Guard for log(RSS/n) on numerically perfect fits.
 _TINY_RSS = 1e-300
@@ -88,6 +89,7 @@ class FeatureMatrix:
         Returns (X, y, n_dropped) where dropped rows had a missing value in
         at least one requested column.
         """
+        import numpy as np
         sub = self.restrict(names)
         x = np.array([sub.columns[n] for n in names], dtype=float).reshape(len(names), sub.n_rows())
         return x.T, np.array(sub.target, dtype=float), self.n_rows() - sub.n_rows()
@@ -105,6 +107,7 @@ class FeatureMatrix:
 
 def pearson(x, y) -> float:
     """Pearson product-moment correlation of two equal-length vectors."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -181,6 +184,7 @@ def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     it out of uncentered cross-products suffers when a mean is large against
     its spread.  The uncentered sums of squares scale the _SWEEP_TOL rule.
     """
+    import numpy as np
     z = np.column_stack([x, y])
     z = z - z.mean(axis=0)
     return z.T @ z, (x * x).sum(axis=0)
@@ -195,6 +199,7 @@ def _sweep_first(stack: np.ndarray, scale: float | np.ndarray) -> tuple[np.ndarr
     _SWEEP_TOL rule.  A column whose pivot fails adds nothing to the fit: it is
     dropped without being swept, as a least-squares fit would ignore it.
     """
+    import numpy as np
     pivot = stack[:, 0, 0]
     ok = pivot > _SWEEP_TOL * scale
     inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
@@ -215,6 +220,7 @@ def _sweep_all(cross: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, list[i
     positions whose pivot failed the _SWEEP_TOL rule; such a column is not
     swept, and its row of B and its row and column of C^-1 are 0.
     """
+    import numpy as np
     border = np.eye(len(cross), len(scale))
     stack = np.block([[cross, border], [border.T, np.zeros((len(scale),) * 2)]])[None]
     failed = []
@@ -237,6 +243,7 @@ def vif_prune(
     first; VIFs within a relative _VIF_TIE of the largest count as tied,
     and among ties the later column is dropped.
     """
+    import numpy as np
     names = list(matrix.names if names is None else names)
     if len(names) < 2:
         return names
@@ -272,6 +279,7 @@ class AicSelection:
 
 def _subset_sizes(k: int) -> np.ndarray:
     """Number of set bits of every mask 0 .. 2^k - 1, indexed by mask."""
+    import numpy as np
     sizes = np.zeros(1, dtype=np.int64)
     for _ in range(k):
         sizes = np.concatenate([sizes, sizes + 1])
@@ -291,6 +299,7 @@ def _lattice(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
     that order.  Where x_i adds nothing, _sweep_first does not sweep it, so
     the subset with it keeps the fit of the subset without it.
     """
+    import numpy as np
     stack = cross[None]
     for s in scale:
         swept, _ = _sweep_first(stack, s)
@@ -305,6 +314,7 @@ def _all_subset_rss(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
     leaves each subset's residual sum of squares of y.  The largest stacked
     array holds 2^(k-2) x 3 x 3 floats (4.7 MB at k = 18).
     """
+    import numpy as np
     return np.maximum(_lattice(cross, scale)[:, 0, 0], 0.0)
 
 
@@ -321,6 +331,7 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
     Branches are visited by ascending bound until a bound lies AIC_DELTA past
     the best model found.
     """
+    import numpy as np
     names = list(matrix.names if names is None else names)
     if len(names) > MAX_CANDIDATES:
         raise ValueError(f"too many candidate features ({len(names)} > {MAX_CANDIDATES})")
@@ -476,6 +487,7 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     A fit with no residual has SEs of 0: its t is then +-inf with a p of 0,
     or nan with a p of nan where the estimate is 0 too.
     """
+    import numpy as np
     names = list(matrix.names if names is None else names)
     x, y, _ = matrix.complete(names)
     n, k = x.shape
@@ -538,6 +550,7 @@ def _lmg_shares(cross: np.ndarray, scale: np.ndarray, names: list[str]) -> dict[
     |S|!(k-|S|-1)!/k! * (R^2(S+j) - R^2(S)).  Shares sum to the full-model
     R^2 exactly (up to float accumulation).
     """
+    import numpy as np
     k = len(names)
     r2 = 1.0 - _all_subset_rss(cross, scale) / cross[-1, -1]
     sizes = _subset_sizes(k)

@@ -155,6 +155,26 @@ def test_analyze_jobs_parallel_identical(frames_dir, tmp_path, capsys):
     assert b"bad.conllu" not in csv_bytes and b"bad.conllu" not in dbg_bytes
 
 
+def test_analyze_forks_no_more_workers_than_files(frames_dir, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    asked = []
+
+    def recording(max_workers=None, **kwargs):
+        asked.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr", "ditran"])
+    base = ["analyze", "--input-dir", str(inp), "--source", "demo"]
+    assert cli.main(base + ["--output-csv", str(tmp_path / "j8.csv"), "--jobs", "8"]) == 0
+    assert asked == [2]
+    assert cli.main(base + ["--output-csv", str(tmp_path / "j1.csv"), "--jobs", "1"]) == 0
+    assert asked == [2]
+    assert (tmp_path / "j8.csv").read_bytes() == (tmp_path / "j1.csv").read_bytes()
+
+
 def test_analyze_interrupted_leaves_no_output(frames_dir, tmp_path, monkeypatch):
     inp = copy_frames(frames_dir, tmp_path / "in", ["attr", "ditran", "passive"])
     out, dbg = tmp_path / "out.csv", tmp_path / "tags.tsv"
@@ -306,6 +326,30 @@ def test_analyze_missing_input_dir(tmp_path, capsys):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("dir_exists", [True, False], ids=["dir", "no-dir"])
+@pytest.mark.parametrize(
+    "flag, value, problem",
+    [
+        ("--jobs", "0", "--jobs must be >= 1"),
+        ("--window", "1", "window must be >= 2"),
+        ("--min-ref-freq", "0", "min_ref_freq must be >= 1"),
+    ],
+    ids=["jobs", "window", "min-ref-freq"],
+)
+def test_analyze_bad_flag_is_usage_error_whatever_the_input_dir(
+    frames_dir, tmp_path, capsys, flag, value, problem, dir_exists
+):
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr"]) if dir_exists else tmp_path / "nope"
+    out = tmp_path / "o.csv"
+    rc = cli.main(
+        ["analyze", "--input-dir", str(inp), "--output-csv", str(out), "--source", "demo",
+         flag, value]
+    )
+    assert rc == 1
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_no_matching_files(tmp_path, capsys):
@@ -552,39 +596,66 @@ def test_stats_rejects_bad_flag_values_as_usage_errors(tmp_path, capsys, flag, v
 
 
 def test_no_command_loads_scipy(frames_dir, tmp_path):
-    # A finder ahead of every other one makes any scipy import fail, so a
-    # command that needed scipy would exit nonzero here.
+    # A finder ahead of every other one makes any import of a blocked module
+    # fail, and records it in case the ImportError is caught, so a command
+    # that needed one would exit nonzero or leave a name in the record.
+    # analyze --jobs 1 and build-norms load neither numpy nor multiprocessing;
+    # stats loads numpy, and no command loads scipy.
     idx, sc = write_stats_csvs(tmp_path)
     report = tmp_path / "r.txt"
-    script = f"""
+    finder = """
 import sys
 
-class BlockScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError("scipy is blocked: " + name)
-        return None
+class Block:
+    def __init__(self, *blocked):
+        self.blocked = blocked
+        self.tried = []
 
-sys.meta_path.insert(0, BlockScipy())
+    def find_spec(self, name, path=None, target=None):
+        if name in self.blocked or name.split(".")[0] in self.blocked:
+            self.tried.append(name)
+            raise ImportError("blocked: " + name)
+        return None
+"""
+    lean = f"""
+block = Block("scipy", "numpy", "multiprocessing", "concurrent.futures.process")
+sys.meta_path.insert(0, block)
 from asc_toolkit import cli
 runs = [
     ["analyze", "--input-dir", {str(frames_dir)!r}, "--output-csv", {str(tmp_path / "a.csv")!r},
-     "--source", "demo"],
+     "--source", "demo", "--jobs", "1"],
     ["build-norms", "--corpus-dir", {str(frames_dir)!r}, "--out", {str(tmp_path / "n.tsv")!r}],
-    ["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(sc)!r},
-     "--report", {str(report)!r}],
 ]
 for args in runs:
     assert cli.main(args) == 0, args
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+print(block.tried, file=sys.stderr)
+"""
+    # What perfbench relies on: importing cli imports stats (its -X importtime
+    # probe) and binds the stats functions its tracer wraps in cli's namespace.
+    fit = f"""
+block = Block("scipy")
+sys.meta_path.insert(0, block)
+from asc_toolkit import cli
+assert "asc_toolkit.stats" in sys.modules
+stats = sys.modules["asc_toolkit.stats"]
+for name in ("load_feature_matrix", "run_pipeline", "format_report"):
+    assert getattr(cli, name) is getattr(stats, name), name
+assert "numpy" not in sys.modules
+args = ["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(sc)!r},
+        "--report", {str(report)!r}]
+assert cli.main(args) == 0, args
+assert "numpy" in sys.modules
+print(block.tried, file=sys.stderr)
 """
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[]"
+    for script in (lean, fit):
+        proc = subprocess.run(
+            [sys.executable, "-c", finder + script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
     assert "Selected model (3 predictors, n = 200)" in report.read_text(encoding="utf-8")
 
 
