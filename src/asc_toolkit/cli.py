@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import math
 import os
 import sys
@@ -274,6 +275,10 @@ def cmd_stats(args) -> int:
         composite = [c.strip() for c in args.composite_of.split(",") if c.strip()]
         if not composite:
             raise UsageError(f"--composite-of names no column: {args.composite_of!r}")
+    # analyze and build-norms run without numpy; stats needs it at every stage.
+    # Found, not imported, here: loading it before the CSVs raises peak memory.
+    if importlib.util.find_spec("numpy") is None:
+        raise ValueError("stats needs numpy, which is not installed: pip install numpy")
     matrix = load_feature_matrix(
         args.indices_csv,
         args.scores_csv,

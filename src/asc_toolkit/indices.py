@@ -97,37 +97,23 @@ def _window_types(seq: Sequence[Hashable], w: int) -> Iterator[int]:
     return accumulate(map(sub, stays[: n - w], near[w:]), initial=w - sum(near[:w]))
 
 
-def _diversity(
-    types: list[str], pairs: list[tuple[str, str]], no_be: list[tuple[str, str]], w: int
+def diversity_indices(
+    types: Sequence[str], pairs: Sequence[tuple[str, str]], w: int
 ) -> IndexVector:
+    """MATTR over tags, over (tag, lemma) pairs, and over pairs excluding be."""
     return {
         "ascMATTR": mattr(types, w),
         "ascLemmaMATTR": mattr(pairs, w),
-        "ascLemmaMATTRNoBe": mattr(no_be, w),
+        "ascLemmaMATTRNoBe": mattr([p for p in pairs if p[1] not in BE_LEMMAS], w),
     }
 
 
-def _sequences(
-    ascs: Sequence[AscToken],
-) -> tuple[list[str], list[tuple[str, str]], list[tuple[str, str]]]:
-    """The tag sequence, the (tag, lemma) sequence, and the latter without be."""
-    types = [t.asc_type for t in ascs]
-    pairs = [(t.asc_type, t.verb_lemma) for t in ascs]
-    no_be = [p for p in pairs if p[1] not in BE_LEMMAS]
-    return types, pairs, no_be
-
-
-def diversity_indices(ascs: Sequence[AscToken], cfg: IndexConfig) -> IndexVector:
-    """MATTR over tags, over (tag, lemma) pairs, and over pairs excluding be."""
-    return _diversity(*_sequences(ascs), cfg.window)
-
-
-def proportion_indices(ascs: Sequence[AscToken]) -> IndexVector:
+def proportion_indices(types: Sequence[str]) -> IndexVector:
     """Share of tagged clauses per construction type; all None on empty input."""
-    n = len(ascs)
+    n = len(types)
     if n == 0:
         return {f"{t}_Prop": None for t in ASC_TYPES}
-    counts = Counter(t.asc_type for t in ascs)
+    counts = Counter(types)
     return {f"{t}_Prop": counts.get(t, 0) / n for t in ASC_TYPES}
 
 
@@ -141,22 +127,10 @@ def frequency_index(
     Tokens absent from the reference, or below min_ref_freq, are excluded
     from both the sum and the denominator; None if nothing survives.
     """
-    return _mean_log(tokens, lookup, min_ref_freq, {})
-
-
-def _mean_log(
-    tokens: Sequence[Hashable],
-    lookup: Mapping[Hashable, int],
-    min_ref_freq: int,
-    logs: dict[int, float],
-) -> float | None:
-    """frequency_index, with each count's log taken from logs, which it fills."""
     counts = [f for f in map(lookup.get, tokens, repeat(0)) if f >= min_ref_freq]
     if not counts:
         return None
-    for f in set(counts).difference(logs):
-        logs[f] = math.log(f)
-    return sum(map(logs.__getitem__, counts)) / len(counts)
+    return sum(map(math.log, counts)) / len(counts)
 
 
 def expected_frequency(cells: ContingencyCells) -> float:
@@ -191,21 +165,21 @@ def _frac(num: int, den: int) -> float:
     return num / den if den else 0.0
 
 
-def soa_indices(ascs: Sequence[AscToken], norm: NormTable) -> IndexVector:
+def soa_indices(pairs: Sequence[tuple[str, str]], norm: NormTable) -> IndexVector:
     """Token-mean association scores, overall and per construction type.
 
-    MI and t-score are undefined for pairs unattested in the reference
-    (a = 0); such tokens drop out of those means but still contribute to
-    the delta-P means.  Empty means are None.  Each pair is scored once per
-    norm table, into norm.pair_scores.
+    pairs holds each tagged token's (construction, lemma) pair, in token
+    order.  MI and t-score are undefined for pairs unattested in the
+    reference (a = 0); such tokens drop out of those means but still
+    contribute to the delta-P means.  Empty means are None.  Each pair is
+    scored once per norm table, into norm.pair_scores.
     """
     scores = norm.pair_scores
     # One row of scores per token, overall and per type, in token order, so
     # each mean sums the same values in the same order as a per-metric rescan.
     rows: list[tuple[float | None, ...]] = []
     by_type: dict[str, list[tuple[float | None, ...]]] = {t: [] for t in ASC_TYPES}
-    for tok in ascs:
-        key = (tok.asc_type, tok.verb_lemma)
+    for key in pairs:
         vals = scores.get(key)
         if vals is None:
             cells = contingency(norm, *key)
@@ -231,14 +205,13 @@ def compute_from_tags(
     """Fill the full canonical index vector from an already-tagged token list."""
     if cfg is None:
         cfg = IndexConfig()
-    types, pairs, no_be = _sequences(tags)
-    values = _diversity(types, pairs, no_be, cfg.window)
-    values.update(proportion_indices(tags))
-    values["ascAvFreq"] = _mean_log(types, norm.type_counts, cfg.min_ref_freq, norm.count_logs)
-    values["ascLemmaAvFreq"] = _mean_log(
-        pairs, norm.pair_counts, cfg.min_ref_freq, norm.count_logs
-    )
-    values.update(soa_indices(tags, norm))
+    types = [t.asc_type for t in tags]
+    pairs = [(t.asc_type, t.verb_lemma) for t in tags]
+    values = diversity_indices(types, pairs, cfg.window)
+    values.update(proportion_indices(types))
+    values["ascAvFreq"] = frequency_index(types, norm.type_counts, cfg.min_ref_freq)
+    values["ascLemmaAvFreq"] = frequency_index(pairs, norm.pair_counts, cfg.min_ref_freq)
+    values.update(soa_indices(pairs, norm))
     return {name: values[name] for name in INDEX_NAMES}
 
 

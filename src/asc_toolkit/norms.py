@@ -23,10 +23,6 @@ class NormTableError(ValueError):
     """Raised for unusable norm tables (empty, malformed, inconsistent)."""
 
 
-# NormTable fields that hold per-run memos, not the table.
-_MEMOS = ("pair_scores", "count_logs")
-
-
 @dataclass(slots=True)
 class ContingencyCells:
     """2x2 cells for one (construction, lemma) pair against a reference corpus.
@@ -52,10 +48,10 @@ class NormTable:
     type_counts, lemma_counts and total are the per-construction and
     per-lemma sums of pair_counts and their total, set on construction.
 
-    pair_scores and count_logs are memos that the indices fill on first use,
-    so a run scores each (construction, lemma) pair and takes each count's
-    log once.  They are derived from the counts and take no part in
-    equality, repr or pickling: an unpickled copy starts them empty.
+    pair_scores is a memo that the indices fill on first use, so a run
+    scores each (construction, lemma) pair once.  It is derived from the
+    counts and takes no part in equality, repr or pickling: an unpickled
+    copy starts it empty.
     """
 
     pair_counts: dict[tuple[str, str], int]
@@ -65,9 +61,6 @@ class NormTable:
     source: str = ""
     version: str = NORM_FORMAT_VERSION
     pair_scores: dict[tuple[str, str], tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    count_logs: dict[int, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -89,10 +82,10 @@ class NormTable:
                 raise NormTableError(f"inconsistent norm table: unknown construction tag {c!r}")
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
+        return {k: v for k, v in self.__dict__.items() if k != "pair_scores"}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, pair_scores={}, count_logs={})
+        self.__dict__.update(state, pair_scores={})
 
 
 def build_norms(

@@ -83,16 +83,12 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return len(self.target)
 
-    def complete(self, names: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
-        """Listwise-complete design matrix over the given columns.
-
-        Returns (X, y, n_dropped) where dropped rows had a missing value in
-        at least one requested column.
-        """
+    def complete(self, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(X, y) over the given columns, without rows missing any of them."""
         import numpy as np
         sub = self.restrict(names)
         x = np.array([sub.columns[n] for n in names], dtype=float).reshape(len(names), sub.n_rows())
-        return x.T, np.array(sub.target, dtype=float), self.n_rows() - sub.n_rows()
+        return x.T, np.array(sub.target, dtype=float)
 
     def restrict(self, names: list[str]) -> "FeatureMatrix":
         """Submatrix with only listwise-complete rows over the given columns."""
@@ -247,7 +243,7 @@ def vif_prune(
     names = list(matrix.names if names is None else names)
     if len(names) < 2:
         return names
-    cross, scale = _cross(*matrix.complete(names)[:2])
+    cross, scale = _cross(*matrix.complete(names))
     keep = list(range(len(names)))
     while len(keep) >= 2:
         inverse, failed = _sweep_all(cross[np.ix_(keep, keep)], scale[keep])
@@ -335,7 +331,7 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
     names = list(matrix.names if names is None else names)
     if len(names) > MAX_CANDIDATES:
         raise ValueError(f"too many candidate features ({len(names)} > {MAX_CANDIDATES})")
-    x, y, _ = matrix.complete(names)
+    x, y = matrix.complete(names)
     n = len(y)
     if n < 3:
         raise ValueError("need at least 3 complete rows")
@@ -489,7 +485,7 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     """
     import numpy as np
     names = list(matrix.names if names is None else names)
-    x, y, _ = matrix.complete(names)
+    x, y = matrix.complete(names)
     n, k = x.shape
     if n <= k + 1:
         raise ValueError(f"need more than {k + 1} complete rows, got {n}")
@@ -578,9 +574,22 @@ def _csv_error(path: str | Path, line: int, column: str, problem: str) -> ValueE
 def _keyed_rows(
     reader: csv.DictReader, path: str | Path
 ) -> Iterator[tuple[int, str, dict[str, str]]]:
-    """(line, key, row) for each data row; a key seen twice is an error naming both lines."""
+    """(line, key, row) for each data row.
+
+    A row with fewer or more cells than the header is an error naming its
+    line; a key seen twice is an error naming both lines.
+    """
+    names = reader.fieldnames
     first_line: dict[str, int] = {}
     for row in reader:
+        # DictReader fills a short row's cells with None and files a long
+        # row's extra cells under the key None.
+        if None in row or None in row.values():
+            extra = row.pop(None, [])
+            cells = sum(v is not None for v in row.values()) + len(extra)
+            column = names[-1] if extra else names[cells]
+            problem = f"{cells} cells, expected {len(names)}"
+            raise _csv_error(path, reader.line_num, column, problem)
         key = row[JOIN_COLUMN]
         if key in first_line:
             problem = f"duplicate {key!r} (first at line {first_line[key]})"
@@ -600,9 +609,9 @@ def _header(reader: csv.DictReader, path: str | Path, kind: str) -> list[str]:
     return names
 
 
-def _index_value(text: str | None, path: str | Path, line: int, column: str) -> float | None:
+def _index_value(text: str, path: str | Path, line: int, column: str) -> float | None:
     """An indices cell: blank means missing; anything else must be a finite number."""
-    if text is None or text == "":
+    if text == "":
         return None
     try:
         value = float(text)
@@ -624,8 +633,9 @@ def load_feature_matrix(
     The target is either a single score column or the mean of the listed
     composite columns.  Rows without a usable score (blank or non-numeric)
     are excluded; a blank index cell is missing.  A repeated column name, a
-    duplicate filename, a non-numeric index cell, or a nan or inf cell in
-    either file is a ValueError naming the file, the line and the column.
+    row with fewer or more cells than its header, a duplicate filename, a
+    non-numeric index cell, or a nan or inf cell in either file is a
+    ValueError naming the file, the line and the column.
     Both files may start with a UTF-8 byte order mark.
     """
     scores: dict[str, float] = {}
@@ -639,7 +649,7 @@ def load_feature_matrix(
         for line, key, row in _keyed_rows(reader, scores_csv):
             try:
                 vals = [float(row[c]) for c in wanted]
-            except (TypeError, ValueError):
+            except ValueError:
                 continue
             for c, v in zip(wanted, vals):
                 if not math.isfinite(v):

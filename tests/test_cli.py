@@ -659,6 +659,28 @@ print(block.tried, file=sys.stderr)
     assert "Selected model (3 predictors, n = 200)" in report.read_text(encoding="utf-8")
 
 
+def test_stats_without_numpy_is_one_error_line(tmp_path):
+    # None in sys.modules hides numpy from the import system, as where it is not installed.
+    idx, sc = write_stats_csvs(tmp_path)
+    report = tmp_path / "r.txt"
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+from asc_toolkit import cli
+sys.exit(cli.main(["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(sc)!r},
+                   "--report", {str(report)!r}]))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    want = "error: stats needs numpy, which is not installed: pip install numpy"
+    assert proc.stderr.splitlines() == [want]
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "which, lineno, text, column, problem",
     [
@@ -670,10 +692,15 @@ print(block.tried, file=sys.stderr)
         ("indices", 8, "t2,1,1", "filename", "duplicate 't2' (first at line 4)"),
         ("indices", 1, "filename,alpha,alpha", "alpha", "duplicate column"),
         ("scores", 1, "filename,score,score", "score", "duplicate column"),
+        ("indices", 9, "t7,1", "beta", "2 cells, expected 3"),
+        ("indices", 10, "t8,1,2,3", "beta", "4 cells, expected 3"),
+        ("scores", 9, "t7", "score", "1 cells, expected 2"),
+        ("scores", 10, "t8,16,99", "score", "3 cells, expected 2"),
     ],
     ids=[
         "index-nan", "index-inf", "score-inf", "index-text", "score-dup", "index-dup",
-        "index-dup-column", "score-dup-column",
+        "index-dup-column", "score-dup-column", "index-short-row", "index-long-row",
+        "score-short-row", "score-long-row",
     ],
 )
 def test_stats_rejects_bad_csv_naming_file_line_column(

@@ -85,31 +85,48 @@ def test_window_type_counts_equal_a_set_per_window(data, alphabet, w):
 
 
 def test_diversity_single_type():
-    tags = make_tags([("TRAN_S", "eat")] * 12)
-    out = diversity_indices(tags, IndexConfig())
+    out = diversity_indices(["TRAN_S"] * 12, [("TRAN_S", "eat")] * 12, 11)
     assert out["ascMATTR"] == pytest.approx(1 / 11)
     assert out["ascLemmaMATTR"] == pytest.approx(1 / 11)
     assert out["ascLemmaMATTRNoBe"] == pytest.approx(1 / 11)
 
 
 def test_diversity_no_be_filter_shortens_sequence():
-    tags = make_tags([("ATTR", "be")] * 3 + [("TRAN_S", "eat")] * 9)
-    out = diversity_indices(tags, IndexConfig())
+    pairs = [("ATTR", "be")] * 3 + [("TRAN_S", "eat")] * 9
+    out = diversity_indices([c for c, _ in pairs], pairs, 11)
     assert out["ascMATTR"] is not None
     assert out["ascLemmaMATTR"] is not None
     assert out["ascLemmaMATTRNoBe"] is None  # 9 < 12 after dropping be
 
 
 def test_diversity_empty():
-    out = diversity_indices([], IndexConfig())
+    out = diversity_indices([], [], 11)
     assert list(out.values()) == [None, None, None]
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), alphabet=st.integers(1, 20), w=st.integers(2, 15))
+def test_mattr_lies_in_the_unit_interval(data, alphabet, w):
+    n = data.draw(st.integers(w + 1, 200))
+    seq = data.draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    assert 0 < mattr(seq, w) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from(ASC_TYPES), st.sampled_from(["be", "eat", "give", "run"])),
+        max_size=60,
+    ),
+    w=st.integers(2, 15),
+)
+def test_diversity_values_are_missing_or_in_the_unit_interval(pairs, w):
+    out = diversity_indices([c for c, _ in pairs], pairs, w)
+    assert all(v is None or 0 < v <= 1 for v in out.values())
+
+
 def test_proportions_direct_count():
-    tags = make_tags(
-        [("TRAN_S", "a"), ("TRAN_S", "b"), ("ATTR", "be"), ("PASSIVE", "c")]
-    )
-    out = proportion_indices(tags)
+    out = proportion_indices(["TRAN_S", "TRAN_S", "ATTR", "PASSIVE"])
     assert out["TRAN_S_Prop"] == 0.5
     assert out["ATTR_Prop"] == 0.25
     assert out["PASSIVE_Prop"] == 0.25
@@ -118,7 +135,7 @@ def test_proportions_direct_count():
 
 
 def test_proportions_single_token():
-    out = proportion_indices(make_tags([("DITRAN", "give")]))
+    out = proportion_indices(["DITRAN"])
     assert out["DITRAN_Prop"] == 1.0
     assert sum(v for v in out.values()) == 1.0
 
@@ -131,10 +148,7 @@ def test_proportions_empty_is_missing():
 def test_proportions_sum_to_one():
     rng = random.Random(4)
     for _ in range(50):
-        tags = make_tags(
-            [(rng.choice(ASC_TYPES), "v") for _ in range(rng.randint(1, 40))]
-        )
-        out = proportion_indices(tags)
+        out = proportion_indices([rng.choice(ASC_TYPES) for _ in range(rng.randint(1, 40))])
         assert abs(sum(out.values()) - 1.0) <= 1e-12
 
 
@@ -204,8 +218,7 @@ def four_pair_norm():
 
 def test_soa_indices_identical_tokens():
     norm = four_pair_norm()
-    tags = make_tags([("TRAN_S", "eat")] * 3)
-    out = soa_indices(tags, norm)
+    out = soa_indices([("TRAN_S", "eat")] * 3, norm)
     assert out["ascAvMI"] == 3.0
     assert out["TRAN_S_AvMI"] == 3.0
     assert out["ascAvT"] == pytest.approx(7 / math.sqrt(8))
@@ -229,8 +242,7 @@ def test_soa_indices_mean_over_tokens():
         },
         source="unit",
     )
-    tags = make_tags([("TRAN_S", "eat"), ("INTRAN_S", "run")])
-    out = soa_indices(tags, norm)
+    out = soa_indices([("TRAN_S", "eat"), ("INTRAN_S", "run")], norm)
     assert mi(ContingencyCells(8, 2, 2, 88)) == 3.0
     assert mi(ContingencyCells(2, 8, 8, 82)) == 1.0
     assert out["ascAvMI"] == pytest.approx(2.0)
@@ -238,22 +250,21 @@ def test_soa_indices_mean_over_tokens():
 
 def test_soa_unattested_pair_excluded_from_mi_t_only():
     norm = four_pair_norm()
-    tags = make_tags([("TRAN_S", "eat"), ("TRAN_S", "zzz")])
-    out = soa_indices(tags, norm)
+    out = soa_indices([("TRAN_S", "eat"), ("TRAN_S", "zzz")], norm)
     assert out["ascAvMI"] == 3.0  # zzz token dropped from MI mean
     dpl_eat = dp_lemma(ContingencyCells(8, 2, 2, 88))
     dpl_zzz = dp_lemma(ContingencyCells(0, 0, 10, 90))
     assert out["ascAvDeltaPLemma"] == pytest.approx((dpl_eat + dpl_zzz) / 2)
 
 
-def rescanned_soa(ascs, norm):
+def rescanned_soa(pairs, norm):
     """soa_indices by its definition: score each token, then one scan per mean."""
     per_token = []
-    for tok in ascs:
-        cells = contingency(norm, tok.asc_type, tok.verb_lemma)
+    for asc_type, lemma in pairs:
+        cells = contingency(norm, asc_type, lemma)
         per_token.append(
             (
-                tok.asc_type,
+                asc_type,
                 {
                     "MI": mi(cells),
                     "T": t_score(cells),
@@ -287,8 +298,8 @@ _TYPES = [*ASC_TYPES, "OTHER"]
 @given(pairs=st.lists(st.tuples(st.sampled_from(_TYPES), st.sampled_from(_LEMMAS)), max_size=60))
 def test_soa_indices_equal_the_rescanning_definition(pairs):
     norm = load_norms(resolve_source("demo"))
-    out = soa_indices(make_tags(pairs), norm)
-    expected = rescanned_soa(make_tags(pairs), norm)
+    out = soa_indices(pairs, norm)
+    expected = rescanned_soa(pairs, norm)
     assert len(expected) == 4 + 4 * len(ASC_TYPES)
     assert out == expected  # exact: same values summed in the same order
 
@@ -312,7 +323,7 @@ def _saved(norm, directory):
 def test_one_norm_serving_many_texts_scores_each_as_a_fresh_norm(
     texts, min_ref_freq, window, tmp_path_factory
 ):
-    """The per-run score and log tables change no value, and no part of the table's identity."""
+    """The per-run score table changes no value, and no part of the table's identity."""
     path = resolve_source("demo")
     norm, cfg = load_norms(path), IndexConfig(window=window, min_ref_freq=min_ref_freq)
     for pairs in texts:
@@ -325,12 +336,12 @@ def test_one_norm_serving_many_texts_scores_each_as_a_fresh_norm(
             logs = [math.log(lookup[k]) for k in keys if lookup.get(k, 0) >= min_ref_freq]
             assert out[name] == (sum(logs) / len(logs) if logs else None)
     fresh = load_norms(path)
-    assert norm.pair_scores or not any(texts)  # the tables were filled
+    assert norm.pair_scores or not any(texts)  # the table was filled
     assert norm == fresh
     assert repr(norm) == repr(fresh)
     assert pickle.dumps(norm) == pickle.dumps(fresh)
     copy = pickle.loads(pickle.dumps(norm))
-    assert copy == norm and not copy.pair_scores and not copy.count_logs
+    assert copy == norm and not copy.pair_scores
     directory = tmp_path_factory.mktemp("norms")
     assert _saved(norm, directory) == _saved(fresh, directory)
 
@@ -373,16 +384,13 @@ def test_compute_all_matches_componentwise_recomputation():
     cfg = IndexConfig()
     out = compute_all(doc, norm, cfg)
     tags = tag_document(doc)
+    types, pairs = [t.asc_type for t in tags], [t.pair() for t in tags]
     expect = {}
-    expect.update(diversity_indices(tags, cfg))
-    expect.update(proportion_indices(tags))
-    expect["ascAvFreq"] = frequency_index(
-        [t.asc_type for t in tags], norm.type_counts, cfg.min_ref_freq
-    )
-    expect["ascLemmaAvFreq"] = frequency_index(
-        [t.pair() for t in tags], norm.pair_counts, cfg.min_ref_freq
-    )
-    expect.update(soa_indices(tags, norm))
+    expect.update(diversity_indices(types, pairs, cfg.window))
+    expect.update(proportion_indices(types))
+    expect["ascAvFreq"] = frequency_index(types, norm.type_counts, cfg.min_ref_freq)
+    expect["ascLemmaAvFreq"] = frequency_index(pairs, norm.pair_counts, cfg.min_ref_freq)
+    expect.update(soa_indices(pairs, norm))
     assert out == {name: expect[name] for name in INDEX_NAMES}
 
 

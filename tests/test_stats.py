@@ -317,7 +317,7 @@ def test_aic_select_rejects_too_many_candidates():
 
 def unbranched_selection(matrix, names):
     """aic_select's answer from one sweep of the whole subset lattice, as for k <= 18."""
-    x, y, _ = matrix.complete(names)
+    x, y = matrix.complete(names)
     n, k = x.shape
     rss = stats._all_subset_rss(*stats._cross(x, y))
     # Screen by np.log with a wide margin, then score the survivors exactly.
@@ -783,7 +783,7 @@ def test_ols_residuals_orthogonal_to_predictors():
     y = [sum(cols[f"f{j}"][i] for j in range(4)) + rng.gauss(0, 2) for i in range(n)]
     m = matrix_from(cols, y)
     fit = ols_fit(m)
-    x, yv, _ = m.complete(m.names)
+    x, yv = m.complete(m.names)
     labels = ["(Intercept)"] + m.names
     beta = np.array([fit.estimates[lab] for lab in labels])
     a = np.column_stack([np.ones(n), x])
