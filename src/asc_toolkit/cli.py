@@ -121,10 +121,6 @@ def discover_files(root: Path, recursive: bool) -> list[tuple[str, Path]]:
     return sorted(pairs)
 
 
-def _format_cell(value: float | None) -> str:
-    return "" if value is None else format(value, ".6g")
-
-
 def _parse(path: Path, key: str):
     """parse_conllu_file, with a read, decode or parse error naming the file by key."""
     try:
@@ -141,7 +137,8 @@ def _analyze_one(path: Path, key: str, norm: NormTable, cfg: IndexConfig, want_d
         return None, str(exc), []
     tags = tag_document(doc)
     values = compute_from_tags(tags, norm, cfg)
-    row = [key, *(_format_cell(values[name]) for name in INDEX_NAMES)]
+    cells = (values[name] for name in INDEX_NAMES)
+    row = [key, *("" if v is None else "%.6g" % v for v in cells)]
     return row, None, list(debug_lines(tags)) if want_debug else []
 
 

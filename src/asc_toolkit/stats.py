@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -61,43 +62,44 @@ _STIRLING_MIN = 100.0
 class FeatureMatrix:
     """Named numeric features plus a target score, one row per text.
 
-    Missing feature cells are None; the target is always present.  Rows with
+    columns is a (len(names), rows) float array, NaN where a feature cell is
+    missing; target is a float array with no missing value.  Rows with
     missing values in the columns a given operation uses are dropped there.
-    names lists the columns in order.
     """
 
     ids: list[str]
-    columns: dict[str, list[float | None]]
-    target: list[float]
-    names: list[str] = field(init=False)
+    names: list[str]
+    columns: np.ndarray
+    target: np.ndarray
 
     def __post_init__(self) -> None:
-        self.names = list(self.columns)
-        n = len(self.target)
-        if len(self.ids) != n:
+        if len(self.ids) != len(self.target):
             raise ValueError("ids and target lengths disagree")
-        for name, column in self.columns.items():
-            if len(column) != n:
-                raise ValueError(f"column {name} has wrong length")
+        if self.columns.shape != (len(self.names), len(self.target)):
+            raise ValueError("columns shape disagrees with names and target")
 
     def n_rows(self) -> int:
         return len(self.target)
 
     def complete(self, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) over the given columns, without rows missing any of them."""
-        import numpy as np
         sub = self.restrict(names)
-        x = np.array([sub.columns[n] for n in names], dtype=float).reshape(len(names), sub.n_rows())
-        return x.T, np.array(sub.target, dtype=float)
+        return sub.columns.T, sub.target
 
     def restrict(self, names: list[str]) -> "FeatureMatrix":
-        """Submatrix with only listwise-complete rows over the given columns."""
-        cols = [self.columns[n] for n in names]
-        keep = [i for i in range(self.n_rows()) if all(c[i] is not None for c in cols)]
+        """Submatrix with only listwise-complete rows over the given columns.
+
+        compress, unlike cols[:, keep], keeps the columns C-ordered: numpy
+        sums in memory order, so the layout of complete's X sets _cross's bits.
+        """
+        import numpy as np
+        cols = self.columns[[self.names.index(n) for n in names]]
+        keep = ~np.isnan(cols).any(axis=0)
         return FeatureMatrix(
-            ids=[self.ids[i] for i in keep],
-            columns={n: [self.columns[n][i] for i in keep] for n in names},
-            target=[self.target[i] for i in keep],
+            ids=[self.ids[i] for i in np.flatnonzero(keep).tolist()],
+            names=list(names),
+            columns=cols.compress(keep, axis=1),
+            target=self.target[keep],
         )
 
 
@@ -136,14 +138,12 @@ def bivariate_r(matrix: FeatureMatrix) -> dict[str, float | None]:
     Features that cannot be assessed (fewer than 3 paired values, or zero
     variance on either side) get None.
     """
+    import numpy as np
     out: dict[str, float | None] = {}
-    for name in matrix.names:
-        col = matrix.columns[name]
-        pairs = [(v, t) for v, t in zip(col, matrix.target) if v is not None]
-        xs = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
+    for name, col in zip(matrix.names, matrix.columns):
+        keep = ~np.isnan(col)
         try:
-            out[name] = pearson(xs, ys)
+            out[name] = pearson(col[keep], matrix.target[keep])
         except ValueError:
             out[name] = None
     return out
@@ -571,36 +571,9 @@ def _csv_error(path: str | Path, line: int, column: str, problem: str) -> ValueE
     return ValueError(f"{path}: line {line}, column {column!r}: {problem}")
 
 
-def _keyed_rows(
-    reader: csv.DictReader, path: str | Path
-) -> Iterator[tuple[int, str, dict[str, str]]]:
-    """(line, key, row) for each data row.
-
-    A row with fewer or more cells than the header is an error naming its
-    line; a key seen twice is an error naming both lines.
-    """
-    names = reader.fieldnames
-    first_line: dict[str, int] = {}
-    for row in reader:
-        # DictReader fills a short row's cells with None and files a long
-        # row's extra cells under the key None.
-        if None in row or None in row.values():
-            extra = row.pop(None, [])
-            cells = sum(v is not None for v in row.values()) + len(extra)
-            column = names[-1] if extra else names[cells]
-            problem = f"{cells} cells, expected {len(names)}"
-            raise _csv_error(path, reader.line_num, column, problem)
-        key = row[JOIN_COLUMN]
-        if key in first_line:
-            problem = f"duplicate {key!r} (first at line {first_line[key]})"
-            raise _csv_error(path, reader.line_num, JOIN_COLUMN, problem)
-        first_line[key] = reader.line_num
-        yield reader.line_num, key, row
-
-
-def _header(reader: csv.DictReader, path: str | Path, kind: str) -> list[str]:
+def _header(reader, path: str | Path, kind: str) -> list[str]:
     """The column names of a CSV, which must include JOIN_COLUMN and repeat none."""
-    names = reader.fieldnames
+    names = next(reader, None)
     if names is None or JOIN_COLUMN not in names:
         raise ValueError(f"{kind} CSV lacks a {JOIN_COLUMN!r} column")
     for i, name in enumerate(names):
@@ -609,17 +582,44 @@ def _header(reader: csv.DictReader, path: str | Path, kind: str) -> list[str]:
     return names
 
 
-def _index_value(text: str, path: str | Path, line: int, column: str) -> float | None:
-    """An indices cell: blank means missing; anything else must be a finite number."""
-    if text == "":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise _csv_error(path, line, column, f"non-numeric value {text!r}") from None
-    if not math.isfinite(value):
-        raise _csv_error(path, line, column, f"non-finite value {text!r}")
-    return value
+def _keyed_rows(reader, path: str | Path, names: list[str]) -> Iterator[tuple[int, str, list[str]]]:
+    """(line, key, cells) for each data row under the header names, skipping blank lines.
+
+    A row with fewer or more cells than the header is an error naming its
+    line; a key seen twice is an error naming both lines.
+    """
+    key_at = names.index(JOIN_COLUMN)
+    first_line: dict[str, int] = {}
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(names):
+            column = names[min(len(row), len(names) - 1)]
+            problem = f"{len(row)} cells, expected {len(names)}"
+            raise _csv_error(path, reader.line_num, column, problem)
+        key = row[key_at]
+        if key in first_line:
+            problem = f"duplicate {key!r} (first at line {first_line[key]})"
+            raise _csv_error(path, reader.line_num, JOIN_COLUMN, problem)
+        first_line[key] = reader.line_num
+        yield reader.line_num, key, row
+
+
+def _index_row(path: str | Path, line: int, names: list[str], cells: list[str]) -> list[float]:
+    """An indices row's cells as floats, NaN where blank; any other cell must be a finite number."""
+    values = []
+    for name, text in zip(names, cells):
+        if not text:
+            values.append(math.nan)
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise _csv_error(path, line, name, f"non-numeric value {text!r}") from None
+        if not math.isfinite(value):
+            raise _csv_error(path, line, name, f"non-finite value {text!r}")
+        values.append(value)
+    return values
 
 
 def load_feature_matrix(
@@ -632,46 +632,49 @@ def load_feature_matrix(
 
     The target is either a single score column or the mean of the listed
     composite columns.  Rows without a usable score (blank or non-numeric)
-    are excluded; a blank index cell is missing.  A repeated column name, a
-    row with fewer or more cells than its header, a duplicate filename, a
-    non-numeric index cell, or a nan or inf cell in either file is a
-    ValueError naming the file, the line and the column.
-    Both files may start with a UTF-8 byte order mark.
+    are excluded; a blank index cell is missing (NaN).  A repeated column
+    name, a row with fewer or more cells than its header, a duplicate
+    filename, a non-numeric index cell, or a nan or inf cell in either file
+    is a ValueError naming the file, the line and the column.  Blank lines
+    are skipped.  Both files may start with a UTF-8 byte order mark.
     """
     scores: dict[str, float] = {}
     with open(scores_csv, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         header = _header(reader, scores_csv, "scores")
         wanted = composite_of if composite_of else [score_column]
         missing = [c for c in wanted if c not in header]
         if missing:
             raise ValueError(f"scores CSV lacks column(s): {', '.join(missing)}")
-        for line, key, row in _keyed_rows(reader, scores_csv):
+        wanted_at = [header.index(c) for c in wanted]
+        for line, key, row in _keyed_rows(reader, scores_csv, header):
             try:
-                vals = [float(row[c]) for c in wanted]
+                vals = [float(row[j]) for j in wanted_at]
             except ValueError:
                 continue
-            for c, v in zip(wanted, vals):
+            for c, j, v in zip(wanted, wanted_at, vals):
                 if not math.isfinite(v):
-                    raise _csv_error(scores_csv, line, c, f"non-finite value {row[c]!r}")
+                    raise _csv_error(scores_csv, line, c, f"non-finite value {row[j]!r}")
             scores[key] = sum(vals) / len(vals)
 
     ids: list[str] = []
     target: list[float] = []
-    columns: dict[str, list[float | None]] = {}
+    flat = array("d")  # one buffer, and numpy imported after the loop: both keep peak memory down
     with open(indices_csv, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        feature_names = [c for c in _header(reader, indices_csv, "indices") if c != JOIN_COLUMN]
-        columns = {n: [] for n in feature_names}
-        for line, key, row in _keyed_rows(reader, indices_csv):
-            values = [_index_value(row[n], indices_csv, line, n) for n in feature_names]
-            if key not in scores:
-                continue
-            ids.append(key)
-            target.append(scores[key])
-            for n, value in zip(feature_names, values):
-                columns[n].append(value)
-    return FeatureMatrix(ids=ids, columns=columns, target=target)
+        reader = csv.reader(fh)
+        header = _header(reader, indices_csv, "indices")
+        key_at = header.index(JOIN_COLUMN)
+        feature_names = header[:key_at] + header[key_at + 1 :]
+        for line, key, row in _keyed_rows(reader, indices_csv, header):
+            del row[key_at]
+            values = _index_row(indices_csv, line, feature_names, row)
+            if key in scores:
+                ids.append(key)
+                target.append(scores[key])
+                flat.extend(values)
+    import numpy as np
+    columns = np.frombuffer(flat).reshape(len(ids), len(feature_names)).T
+    return FeatureMatrix(ids, feature_names, columns, np.array(target))
 
 
 @dataclass
@@ -694,7 +697,8 @@ def run_pipeline(
     vif_limit: float = 5.0,
 ) -> PipelineResult:
     """Filter, prune, select and fit; mirrors the reporting workflow end to end."""
-    if len(set(matrix.target)) < 2:
+    import numpy as np
+    if len(set(matrix.target.tolist())) < 2:
         raise ValueError("constant vector")
     r_by_name = bivariate_r(matrix)
     filtered = bivariate_filter(r_by_name, r_threshold)
@@ -704,7 +708,7 @@ def run_pipeline(
     # rows remain for the largest possible model.
     modeling = list(filtered)
     excluded_sparse: list[str] = []
-    missing = {n: matrix.columns[n].count(None) for n in filtered}
+    missing = dict(zip(matrix.names, np.isnan(matrix.columns).sum(axis=1).tolist()))
     complete = matrix.restrict(modeling)
     while modeling and complete.n_rows() < max(3, len(modeling) + 2):
         worst = max(modeling, key=lambda n: (missing[n], modeling.index(n)))

@@ -76,23 +76,17 @@ class _DeprelMemo(dict):
 
 
 def tag_sentence(
-    sentence: Sentence, sentence_index: int = 0, source_id: str = ""
+    sentence: Sentence, sentence_index: int = 0, source_id: str = "", *, base_rel: _DeprelMemo | None = None
 ) -> list[AscToken]:
     """Tag every qualifying predicate in one sentence, in token-id order.
 
     Candidates are VERB tokens and tokens governing a copula; each needs an
     overt subject (nsubj or nsubj:pass).  Conjoined predicates without their
-    own subject therefore never match.
+    own subject therefore never match.  base_rel memoises normalize_deprel;
+    tag_document passes one per document, and a fresh one is made if none is.
     """
-    return _tag_sentence(sentence, sentence_index, source_id, _DeprelMemo())
-
-
-def _tag_sentence(
-    sentence: Sentence,
-    sentence_index: int,
-    source_id: str,
-    base_rel: _DeprelMemo,
-) -> list[AscToken]:
+    if base_rel is None:
+        base_rel = _DeprelMemo()
     tags: list[AscToken] = []
     deps_of = sentence.deps
     for tok in sentence.tokens:
@@ -166,7 +160,7 @@ def tag_document(doc: Document) -> list[AscToken]:
     tags: list[AscToken] = []
     base_rel = _DeprelMemo()
     for i, sentence in enumerate(doc.sentences):
-        tags.extend(_tag_sentence(sentence, i, doc.source_id, base_rel))
+        tags.extend(tag_sentence(sentence, i, doc.source_id, base_rel=base_rel))
     return tags
 
 

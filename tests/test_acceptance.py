@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corpusgen
@@ -181,8 +182,9 @@ def test_stats_recovery():
         columns[f"noise{j}"] = [rng.gauss(0, 1) for _ in range(n)]
     matrix = FeatureMatrix(
         ids=[f"t{i}" for i in range(n)],
-        columns=columns,
-        target=y,
+        names=list(columns),
+        columns=np.array(list(columns.values())),
+        target=np.array(y),
     )
     kept = bivariate_filter(bivariate_r(matrix), 0.10)
     assert "a" in kept and "b" in kept

@@ -723,5 +723,66 @@ def test_stats_rejects_bad_csv_naming_file_line_column(
     assert want in capsys.readouterr().err
 
 
+def run_stats(tmp_path, indices, scores):
+    """cli.main stats on the given CSV texts: (exit code, the CSV paths by name, report path)."""
+    paths = {name: tmp_path / f"{name}.csv" for name in ("indices", "scores")}
+    paths["indices"].write_text(indices, encoding="utf-8")
+    paths["scores"].write_text(scores, encoding="utf-8")
+    report = tmp_path / "r.txt"
+    rc = cli.main(
+        ["stats", "--indices-csv", str(paths["indices"]), "--scores-csv", str(paths["scores"]),
+         "--report", str(report)]
+    )
+    return rc, paths, report
+
+
+def test_stats_skips_blank_lines_and_counts_them_in_line_numbers(tmp_path, capsys):
+    # Blank lines between rows, and one right before the first data row, are
+    # skipped; a bad cell after them is named at its own line of the file.
+    indices = ["filename,alpha,beta", ""] + [f"t{i},{i},{i % 3}" for i in range(6)]
+    indices += ["", ""] + [f"t{i},{i},{i % 3}" for i in range(6, 12)]
+    scores = ["filename,score", ""] + [f"t{i},{2 * i + i % 5}" for i in range(6)]
+    scores += [""] + [f"t{i},{2 * i + i % 5}" for i in range(6, 12)]
+    rc, _, report = run_stats(tmp_path, "\n".join(indices) + "\n", "\n".join(scores) + "\n")
+    assert rc == 0
+    assert "Correlations with score (12 texts)" in report.read_text(encoding="utf-8")
+    bad = indices + ["", "t12,1,2", "t13,x,2"]
+    rc, paths, _ = run_stats(tmp_path, "\n".join(bad) + "\n", "\n".join(scores) + "\n")
+    assert rc == 2
+    want = f"{paths['indices']}: line 19, column 'alpha': non-numeric value 'x'"
+    assert want in capsys.readouterr().err
+    # A row directly after a blank line is named at its own line too, not at
+    # the blank line's.  csv.DictReader did the same: its fieldnames property,
+    # read after the blank rows are skipped, sets line_num again.
+    bad = indices + ["", "t12,x,2"]
+    rc, paths, _ = run_stats(tmp_path, "\n".join(bad) + "\n", "\n".join(scores) + "\n")
+    assert rc == 2
+    want = f"{paths['indices']}: line 18, column 'alpha': non-numeric value 'x'"
+    assert want in capsys.readouterr().err
+    # t0 is first at line 3, right after the blank line 2.
+    rc, paths, _ = run_stats(tmp_path, "\n".join(indices + ["t0,1,2"]) + "\n", "\n".join(scores) + "\n")
+    assert rc == 2
+    want = f"{paths['indices']}: line 17, column 'filename': duplicate 't0' (first at line 3)"
+    assert want in capsys.readouterr().err
+
+
+def test_stats_header_only_indices_csv_joins_no_row(tmp_path, capsys):
+    scores = "filename,score\n" + "".join(f"t{i},{i}\n" for i in range(12))
+    rc, _, report = run_stats(tmp_path, "filename,alpha,beta\n", scores)
+    assert rc == 2
+    assert "join produced only 0 rows (need >= 10)" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_stats_indices_csv_with_only_filename_loads(tmp_path):
+    indices = "filename\n" + "".join(f"t{i}\n" for i in range(12))
+    scores = "filename,score\n" + "".join(f"t{i},{i}\n" for i in range(12))
+    rc, _, report = run_stats(tmp_path, indices, scores)
+    assert rc == 0
+    text = report.read_text(encoding="utf-8")
+    assert "Correlations with score (12 texts)" in text
+    assert "No model fitted." in text
+
+
 def test_unknown_subcommand_flag_is_usage_error(capsys):
     assert cli.main(["analyze", "--nope"]) == 1

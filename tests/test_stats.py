@@ -28,11 +28,14 @@ from asc_toolkit.stats import (
 
 
 def matrix_from(columns, target):
+    """A FeatureMatrix from per-name value lists, None for a missing cell."""
     n = len(target)
+    cells = [math.nan if v is None else v for col in columns.values() for v in col]
     return FeatureMatrix(
         ids=[f"t{i}" for i in range(n)],
-        columns={k: list(v) for k, v in columns.items()},
-        target=list(target),
+        names=list(columns),
+        columns=np.array(cells, dtype=float).reshape(len(columns), n),
+        target=np.array(target, dtype=float),
     )
 
 
@@ -153,6 +156,74 @@ def test_bivariate_r_handles_missing_cells():
     r = bivariate_r(m)
     assert r["f"] == pytest.approx(1.0)
     assert r["g"] is None  # fewer than 3 paired values
+
+
+def pearson_or_none(xs, ys):
+    try:
+        return pearson(xs, ys)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    fortran=st.booleans(),
+)
+def test_nan_matrix_agrees_with_plain_list_oracles(n, k, seed, fortran):
+    # Columns with every share of missing cells, all-missing and constant
+    # ones among them; None marks a missing cell in the oracles' lists.
+    rng = random.Random(seed)
+    names = [f"f{j}" for j in range(k)]
+    cols = {}
+    for name in names:
+        share = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+        level = rng.uniform(-100.0, 100.0)
+        spread = 0.0 if rng.random() < 0.2 else rng.uniform(0.01, 10.0)
+        cols[name] = [None if rng.random() < share else level + spread * rng.gauss(0, 1) for _ in range(n)]
+    target = [rng.gauss(0, 1) for _ in range(n)]
+    m = matrix_from(cols, target)
+    if fortran:  # as load_feature_matrix lays its columns out
+        m.columns = np.asfortranarray(m.columns)
+
+    def complete_rows(subset):
+        return [i for i in range(n) if all(cols[name][i] is not None for name in subset)]
+
+    chosen = rng.sample(names, rng.randint(0, k))
+    rows = complete_rows(chosen)
+    sub = m.restrict(chosen)
+    assert sub.ids == [f"t{i}" for i in rows]
+    assert sub.names == chosen
+    assert sub.target.tolist() == [target[i] for i in rows]
+    assert sub.columns.tolist() == [[cols[name][i] for i in rows] for name in chosen]
+    if rows:
+        # complete hands _cross the layout of an array built from the lists:
+        # numpy's sums run in memory order, so only that layout gives these bits.
+        cells = [cols[name][i] for name in chosen for i in rows]
+        x = np.array(cells, dtype=float).reshape(len(chosen), len(rows)).T
+        want = stats._cross(x, np.array([target[i] for i in rows]))
+        got = stats._cross(*m.complete(chosen))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    want_r = {}
+    for name in names:
+        pairs = [(v, t) for v, t in zip(cols[name], target) if v is not None]
+        want_r[name] = pearson_or_none([p[0] for p in pairs], [p[1] for p in pairs])
+    hex_or_none = lambda r: {name: v if v is None else v.hex() for name, v in r.items()}
+    assert hex_or_none(bivariate_r(m)) == hex_or_none(want_r)
+
+    if n < 3:
+        return
+    # run_pipeline's sparse exclusion, on lists: drop the candidate with the
+    # most missing cells, the later on ties, until the complete rows suffice.
+    modeling = bivariate_filter(want_r, 0.0)
+    missing = {name: cols[name].count(None) for name in modeling}
+    while modeling and len(complete_rows(modeling)) < max(3, len(modeling) + 2):
+        modeling.remove(max(modeling, key=lambda name: (missing[name], modeling.index(name))))
+    result = run_pipeline(m, r_threshold=0.0)
+    assert result.n_dropped_missing == n - len(complete_rows(modeling))
 
 
 # --- VIF --------------------------------------------------------------------
@@ -868,7 +939,7 @@ def test_load_feature_matrix_empty_cells_become_missing(tmp_path):
     idx.write_text("filename,f\na,\nb,1.5\nc,2.5\nd,3\ne,4\n", encoding="utf-8")
     sc.write_text("filename,score\na,1\nb,2\nc,3\nd,\ne,n/a\n", encoding="utf-8")
     m = load_feature_matrix(idx, sc)
-    assert m.columns["f"] == [None, 1.5, 2.5]
+    assert np.array_equal(m.columns[m.names.index("f")], [math.nan, 1.5, 2.5], equal_nan=True)
     assert m.ids == ["a", "b", "c"]  # a blank or non-numeric score drops its row
 
 
@@ -890,7 +961,7 @@ def test_load_feature_matrix_composite(tmp_path):
         "filename,syntax,vocab\na,1,3\nb,2,4\nc,3,5\n", encoding="utf-8"
     )
     m = load_feature_matrix(idx, sc, composite_of=["syntax", "vocab"])
-    assert m.target == [2.0, 3.0, 4.0]
+    assert m.target.tolist() == [2.0, 3.0, 4.0]
 
 
 def test_run_pipeline_finds_planted_signal(tmp_path):
