@@ -6,7 +6,8 @@ log reference frequency), and association strength (MI, t-score and the two
 directional delta-P values against reference-corpus norms).
 
 Missing values are represented as None throughout and serialize to empty
-CSV cells; they are never conflated with zero.
+CSV cells; they are never conflated with zero.  Means add left to right with
+reduce(add, ...), since from Python 3.12 sum() compensates float sums.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def frequency_index(
     counts = [f for f in map(lookup.get, tokens, repeat(0)) if f >= min_ref_freq]
     if not counts:
         return None
-    return sum(map(math.log, counts)) / len(counts)
+    return reduce(add, map(math.log, counts), 0.0) / len(counts)
 
 
 def expected_frequency(cells: ContingencyCells) -> float:
@@ -195,7 +196,7 @@ def soa_indices(pairs: Sequence[tuple[str, str]], norm: NormTable) -> IndexVecto
             continue
         for m, values in zip(SOA_METRICS, zip(*group)):
             kept = [v for v in values if v is not None]
-            out[prefix + m] = sum(kept) / len(kept) if kept else None
+            out[prefix + m] = reduce(add, kept, 0.0) / len(kept) if kept else None
     return out
 
 

@@ -68,18 +68,17 @@ class NormTable:
         type_counts: Counter[str] = Counter()
         lemma_counts: Counter[str] = Counter()
         for (c, v), n in self.pair_counts.items():
-            type_counts[c] += n
-            lemma_counts[v] += n
-        self.type_counts = dict(type_counts)
-        self.lemma_counts = dict(lemma_counts)
-        self.total = sum(self.pair_counts.values())
-        if not self.pair_counts or self.total < 1:
-            raise NormTableError("empty norm table")
-        for (c, v), n in self.pair_counts.items():
             if n < 1:
                 raise NormTableError(f"inconsistent norm table: count {n} for ({c}, {v})")
             if c not in ASC_TYPES:
                 raise NormTableError(f"inconsistent norm table: unknown construction tag {c!r}")
+            type_counts[c] += n
+            lemma_counts[v] += n
+        if not self.pair_counts:
+            raise NormTableError("empty norm table")
+        self.type_counts = dict(type_counts)
+        self.lemma_counts = dict(lemma_counts)
+        self.total = sum(self.pair_counts.values())
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "pair_scores"}
@@ -135,13 +134,21 @@ def load_norms(path: str | Path) -> NormTable:
 
     Lines end only at a line feed or a carriage return, as CoNLL-U lines do,
     so a lemma may hold any other character but a tab.  The file may start
-    with a UTF-8 byte order mark.
+    with a UTF-8 byte order mark.  Counts and #total are ASCII digits only.
+    Every error names the file.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise NormTableError(f"cannot read norm file {path}: {exc}") from exc
+    try:
+        return _parse_norms(text)
+    except NormTableError as exc:
+        raise NormTableError(f"{path}: {exc}") from None
+
+
+def _parse_norms(text: str) -> NormTable:
     header: dict[str, str] = {}
     pair_counts: dict[tuple[str, str], int] = {}
     # read_text turns \r\n and \r into \n; splitlines() would also break
@@ -159,12 +166,7 @@ def load_norms(path: str | Path) -> NormTable:
         if len(fields) != 3:
             raise NormTableError(f"malformed norm file: expected 3 columns at line {lineno}")
         c, v, n_str = fields
-        try:
-            n = int(n_str)
-        except ValueError:
-            raise NormTableError(
-                f"malformed norm file: non-integer count at line {lineno}"
-            ) from None
+        n = _count(n_str, f"count at line {lineno}")
         if (c, v) in pair_counts:
             raise NormTableError(f"malformed norm file: duplicate pair at line {lineno}")
         pair_counts[(c, v)] = n
@@ -176,13 +178,17 @@ def load_norms(path: str | Path) -> NormTable:
         raise NormTableError(
             f"unsupported norm file version {version} (expected {NORM_FORMAT_VERSION})"
         )
-    try:
-        declared_total = int(header["total"])
-    except ValueError:
-        raise NormTableError("malformed norm file: non-integer #total header") from None
+    declared_total = _count(header["total"], "#total header")
     norm = NormTable(pair_counts=pair_counts, source=header["source"], version=version)
     if norm.total != declared_total:
         raise NormTableError(
             f"inconsistent norm table: #total={declared_total} but rows sum to {norm.total}"
         )
     return norm
+
+
+def _count(text: str, what: str) -> int:
+    """text read as a count; int() would also take 1_0, " 5 " and "+5", so only 0-9 pass."""
+    if not (text.isascii() and text.isdigit()):
+        raise NormTableError(f"malformed norm file: {what} is not ASCII digits: {text!r}")
+    return int(text)

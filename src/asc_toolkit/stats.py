@@ -11,6 +11,8 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterator
 
@@ -37,8 +39,8 @@ JOIN_COLUMN = "filename"
 # already swept, is at most this share of its uncentered sum of squares adds
 # nothing to the fit.  The scale is the uncentered one because a constant
 # column's centered sum of squares is rounding noise; so a column whose spread
-# is under about 1e-6 of its mean counts as constant.  _sweep_first applies it
-# for pearson, VIF pruning, AIC selection and the OLS fit alike.
+# is under about 1e-6 of its mean counts as constant.  _has_spread applies it
+# for the score, pearson, VIF pruning, AIC selection and the OLS fit alike.
 _SWEEP_TOL = 1e-12
 
 # VIFs equal in exact arithmetic, such as the two of a pair of columns, may
@@ -114,12 +116,10 @@ def pearson(x, y) -> float:
         raise ValueError("need at least 3 observations")
     xc = x - x.mean()
     yc = y - y.mean()
-    ss = np.array([xc @ xc, yc @ yc])
-    _, ok = _sweep_first(ss[:, None, None], np.array([x @ x, y @ y]))
-    if not ok.all():
+    ss_x, ss_y = xc @ xc, yc @ yc
+    if not (_has_spread(ss_x, x @ x) and _has_spread(ss_y, y @ y)):
         raise ValueError("constant vector")
-    sx, sy = np.sqrt(ss)
-    return float((xc @ yc) / (sx * sy))
+    return float((xc @ yc) / (np.sqrt(ss_x) * np.sqrt(ss_y)))
 
 
 def soa_family(name: str) -> str | None:
@@ -186,6 +186,14 @@ def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z.T @ z, (x * x).sum(axis=0)
 
 
+def _has_spread(
+    centred_ss: float | np.ndarray, uncentred_ss: float | np.ndarray
+) -> bool | np.ndarray:
+    """The _SWEEP_TOL rule, elementwise: whether a column with these residual
+    and uncentered sums of squares adds something to a fit."""
+    return centred_ss > _SWEEP_TOL * uncentred_ss
+
+
 def _sweep_first(stack: np.ndarray, scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fit the first column of each cross-product matrix in a stack (Goodnight 1979).
 
@@ -197,7 +205,7 @@ def _sweep_first(stack: np.ndarray, scale: float | np.ndarray) -> tuple[np.ndarr
     """
     import numpy as np
     pivot = stack[:, 0, 0]
-    ok = pivot > _SWEEP_TOL * scale
+    ok = _has_spread(pivot, scale)
     inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
     rest = stack[:, 1:, 1:]
     return rest - (stack[:, 1:, 0] * inv[:, None])[:, :, None] * stack[:, None, 0, 1:], ok
@@ -497,8 +505,7 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
     if failed:
         dependent = ", ".join(names[j] for j in failed)
         raise ValueError("rank-deficient design; collinear columns: " + dependent)
-    _, ok = _sweep_first(cross[None, -1:, -1:], y @ y)
-    if not ok[0]:
+    if not _has_spread(cross[-1, -1], y @ y):
         raise ValueError("constant vector")
     slopes, inv, x_mean = -rest[1:, 0], -rest[1:, 1:], x.mean(axis=0)
     beta = np.concatenate([[y.mean() - x_mean @ slopes], slopes])
@@ -655,7 +662,7 @@ def load_feature_matrix(
             for c, j, v in zip(wanted, wanted_at, vals):
                 if not math.isfinite(v):
                     raise _csv_error(scores_csv, line, c, f"non-finite value {row[j]!r}")
-            scores[key] = sum(vals) / len(vals)
+            scores[key] = reduce(add, vals, 0.0) / len(vals)  # left to right, as indices' means
 
     ids: list[str] = []
     target: list[float] = []
@@ -698,8 +705,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Filter, prune, select and fit; mirrors the reporting workflow end to end."""
     import numpy as np
-    if len(set(matrix.target.tolist())) < 2:
-        raise ValueError("constant vector")
+    y = matrix.target
+    yc = y - y.mean() if len(y) else y  # an empty score has no spread either
+    if not _has_spread(yc @ yc, y @ y):
+        raise ValueError("constant vector: the score does not vary")
     r_by_name = bivariate_r(matrix)
     filtered = bivariate_filter(r_by_name, r_threshold)
     notes: list[str] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .ingest import Document, Sentence
+from .ingest import Document, Sentence, Token
 
 # The nine construction tags, alphabetical.  This order is canonical for all
 # per-type output columns.
@@ -67,71 +67,45 @@ def normalize_deprel(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
-class _DeprelMemo(dict):
-    """normalize_deprel, computed once per distinct relation label."""
-
-    def __missing__(self, deprel: str) -> str:
-        base = self[deprel] = normalize_deprel(deprel)
-        return base
-
-
-def tag_sentence(
-    sentence: Sentence, sentence_index: int = 0, source_id: str = "", *, base_rel: _DeprelMemo | None = None
-) -> list[AscToken]:
+def tag_sentence(sentence: Sentence, sentence_index: int = 0, source_id: str = "") -> list[AscToken]:
     """Tag every qualifying predicate in one sentence, in token-id order.
 
-    Candidates are VERB tokens and tokens governing a copula; each needs an
-    overt subject (nsubj or nsubj:pass).  Conjoined predicates without their
-    own subject therefore never match.  base_rel memoises normalize_deprel;
-    tag_document passes one per document, and a fresh one is made if none is.
+    Candidates are VERB tokens and tokens governing a copula; _classify
+    picks each one's frame, if any.
     """
-    if base_rel is None:
-        base_rel = _DeprelMemo()
     tags: list[AscToken] = []
     deps_of = sentence.deps
     for tok in sentence.tokens:
-        # A token without dependents has no subject and is never tagged.
+        # A token without dependents fits no frame.
         deps = deps_of[tok.id]
         if deps is None:
             continue
-        rels = {base_rel[d.deprel] for d in deps}
+        rels = {normalize_deprel(d.deprel) for d in deps}
         if tok.upos != "VERB" and "cop" not in rels:
             continue
-        if "nsubj" not in rels and "nsubj:pass" not in rels:
-            continue
-        has_result_adv = "advmod" in rels and any(
-            base_rel[d.deprel] == "advmod"
-            and d.upos == "ADV"
-            and d.lemma.lower() not in ADVERB_STOPLIST
-            for d in deps
-        )
-        asc_type = _classify(rels, has_result_adv)
+        asc_type = _classify(rels, deps)
         if asc_type is None:
             continue
         if asc_type == "ATTR":
-            cop = min(
-                (d for d in deps if base_rel[d.deprel] == "cop"),
-                key=lambda d: d.id,
-            )
+            # deps is in token order, so this is the first copula.
+            cop = next(d for d in deps if normalize_deprel(d.deprel) == "cop")
             lemma = cop.lemma.lower()
         else:
             lemma = tok.lemma.lower()
         if not lemma:
             continue
-        tags.append(
-            AscToken(
-                asc_type=asc_type,
-                verb_token_id=tok.id,
-                verb_lemma=lemma,
-                sentence_index=sentence_index,
-                source_id=source_id,
-            )
-        )
+        tags.append(AscToken(asc_type, tok.id, lemma, sentence_index, source_id))
     return tags
 
 
-def _classify(rels: set[str], has_result_adv: bool) -> str | None:
-    """First matching frame wins; richer frames are checked before leaner ones."""
+def _classify(rels: set[str], deps: list[Token]) -> str | None:
+    """The frame of a candidate with base relations rels over dependents deps.
+
+    First matching frame wins; richer frames are checked before leaner ones.
+    Every frame needs an overt subject: nsubj:pass for the passive, nsubj
+    for the rest, so conjoined predicates without their own subject never
+    match.  A result adverb is an ADV advmod off the stoplist.
+    """
     if "nsubj:pass" in rels and "aux:pass" in rels:
         return "PASSIVE"
     if "cop" in rels and "nsubj" in rels:
@@ -148,7 +122,12 @@ def _classify(rels: set[str], has_result_adv: bool) -> str | None:
         return "TRAN_S"
     if "obl" in rels:
         return "INTRAN_MOT"
-    if has_result_adv:
+    if "advmod" in rels and any(
+        normalize_deprel(d.deprel) == "advmod"
+        and d.upos == "ADV"
+        and d.lemma.lower() not in ADVERB_STOPLIST
+        for d in deps
+    ):
         return "INTRAN_RES"
     if not (rels & _FRAME_RELS):
         return "INTRAN_S"
@@ -158,9 +137,8 @@ def _classify(rels: set[str], has_result_adv: bool) -> str | None:
 def tag_document(doc: Document) -> list[AscToken]:
     """Concatenate tag_sentence output over the document, in sentence order."""
     tags: list[AscToken] = []
-    base_rel = _DeprelMemo()
     for i, sentence in enumerate(doc.sentences):
-        tags.extend(tag_sentence(sentence, i, doc.source_id, base_rel=base_rel))
+        tags.extend(tag_sentence(sentence, i, doc.source_id))
     return tags
 
 

@@ -532,6 +532,24 @@ def test_stats_constant_score_aborts(tmp_path, capsys):
     assert "constant vector" in capsys.readouterr().err
 
 
+def test_stats_near_constant_score_aborts(tmp_path, capsys):
+    # A spread of 1e-4 on a mean of 1e6 is under the 1e-6 share at which a
+    # column adds nothing to a fit, though no two scores need be equal.
+    idx, sc = write_stats_csvs(tmp_path, n=30)
+    rng = random.Random(5)
+    sc.write_text(
+        "filename,score\n" + "".join(f"t{i},{1e6 + rng.uniform(0, 1e-4)!r}\n" for i in range(30)),
+        encoding="utf-8",
+    )
+    rc = cli.main(
+        ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc),
+         "--report", str(tmp_path / "r.txt")]
+    )
+    assert rc == 2
+    assert "constant vector: the score" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_stats_disjoint_join_aborts(tmp_path, capsys):
     idx, sc = write_stats_csvs(tmp_path, n=20)
     sc.write_text(

@@ -164,6 +164,26 @@ def test_frequency_index_values():
     assert frequency_index(["b", "d"], lookup, 5) == pytest.approx(math.log(10))
 
 
+def _left_to_right(values):
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def test_means_add_left_to_right():
+    # From Python 3.12, sum() compensates float sums.  On these values the
+    # plain and compensated sums differ, and every mean takes the plain one.
+    logs = [math.log(n) for n in (5, 6, 8)]
+    assert _left_to_right(logs) != math.fsum(logs)
+    assert frequency_index(["a", "b", "c"], {"a": 5, "b": 6, "c": 8}, 1) == _left_to_right(logs) / 3
+    norm = NormTable({("ATTR", "be"): 1})
+    for lemma, v in zip("xyz", [1e16, 1.0, -1e16]):  # plain sum 0.0, compensated 1.0
+        norm.pair_scores[("ATTR", lemma)] = (v, v, v, v)
+    out = soa_indices([("ATTR", lemma) for lemma in "xyz"], norm)
+    assert out["ascAvMI"] == out["ATTR_AvDeltaPStructure"] == 0.0
+
+
 def test_soa_hand_values():
     cells = ContingencyCells(8, 2, 2, 88)
     assert mi(cells) == 3.0

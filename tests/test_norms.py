@@ -164,8 +164,46 @@ def test_load_nonpositive_count(tmp_path):
     path.write_text(
         "#source=x\n#version=1.0.0\n#total=0\nTRAN_S\teat\t0\n", encoding="utf-8"
     )
-    with pytest.raises(NormTableError):
+    with pytest.raises(NormTableError, match="inconsistent norm table: count 0"):
         load_norms(path)
+
+
+@pytest.mark.parametrize(
+    "pair_counts",
+    [{("ATTR", "be"): 0}, {("ATTR", "be"): 3, ("TRAN_S", "eat"): -3}, {("ATTR", "be"): -1}],
+)
+def test_nonpositive_count_is_inconsistent_not_empty(pair_counts):
+    with pytest.raises(NormTableError, match="inconsistent norm table: count"):
+        NormTable(pair_counts)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 10 ", "+10", "10\u00a0", "\uff11\uff10", "-10", ""])
+@pytest.mark.parametrize("where", ["count", "total"])
+def test_load_reads_only_ascii_digits(tmp_path, text, where):
+    # int() would read each of these but the empty string.
+    count, total = (text, "10") if where == "count" else ("10", text)
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"#source=x\n#version=1.0.0\n#total={total}\nATTR\tbe\t{count}\n", encoding="utf-8")
+    with pytest.raises(NormTableError, match="malformed norm file: .* is not ASCII digits"):
+        load_norms(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "#source=x\n#version=1.0.0\n#total=3\nTRAN_S\teat\n",
+        "#source=x\n#version=2.0.0\n#total=3\nTRAN_S\teat\t3\n",
+        "#source=x\n#version=1.0.0\n#total=4\nTRAN_S\teat\t3\n",
+        "#source=x\n#version=1.0.0\n#total=3\nNOPE\teat\t3\n",
+        "#source=x\n#version=1.0.0\n#total=0\n",
+    ],
+)
+def test_load_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(NormTableError) as info:
+        load_norms(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # Characters str.splitlines() treats as line breaks that CoNLL-U lines may hold.

@@ -964,6 +964,17 @@ def test_load_feature_matrix_composite(tmp_path):
     assert m.target.tolist() == [2.0, 3.0, 4.0]
 
 
+def test_load_feature_matrix_composite_adds_left_to_right(tmp_path):
+    # 1e16 + 1 rounds to 1e16, so the plain sum is 0.0; a compensated sum,
+    # as Python 3.12's sum() takes, would give a mean of 1/3.
+    idx = tmp_path / "i.csv"
+    sc = tmp_path / "s.csv"
+    idx.write_text("filename,f\na,1\n", encoding="utf-8")
+    sc.write_text("filename,p,q,r\na,1e16,1,-1e16\n", encoding="utf-8")
+    m = load_feature_matrix(idx, sc, composite_of=["p", "q", "r"])
+    assert m.target.tolist() == [0.0]
+
+
 def test_run_pipeline_finds_planted_signal(tmp_path):
     idx, sc = write_csvs(tmp_path)
     m = load_feature_matrix(idx, sc)

@@ -263,3 +263,192 @@ def test_tags_ignore_comments_ranges_and_empty_nodes(corpora):
     expected = list(debug_lines(tag_document(parse_conllu(plain, "t"))))
     assert list(debug_lines(tag_document(parse_conllu(decorated, "t")))) == expected
     assert len(expected) == plain.count("\n\n") + 1  # one tag per template sentence
+
+
+# ---------------------------------------------------------------------------
+# The tagger against an independent frame table.  The oracle below restates
+# the tagging rules as data and reads CoNLL-U through its own minimal reader,
+# so it shares no code with the tagger or with Sentence.
+
+# Subtypes kept whole by relation normalisation; any other "base:sub" is base.
+ORACLE_KEPT_SUBTYPES = {"nsubj:pass", "aux:pass"}
+# Candidates: tokens with this UPOS, or tokens governing this relation.
+ORACLE_CANDIDATE_UPOS = "VERB"
+ORACLE_CANDIDATE_DEPENDENT = "cop"
+# The overt subject each frame needs; frames not listed need ORACLE_SUBJECT.
+ORACLE_SUBJECT = "nsubj"
+ORACLE_SUBJECT_OF = {"PASSIVE": "nsubj:pass"}
+# A result adverb: an ADV advmod whose lowercased lemma is off the stoplist.
+# It enters a candidate's relation set as this pseudo-relation.
+ORACLE_RESULT = "result-adverb"
+ORACLE_STOPLIST = {
+    "not", "n't", "very", "too", "so", "just", "also", "then", "now", "here",
+    "there", "always", "never", "often", "really",
+}
+# (tag, required base relations, forbidden base relations), first match wins.
+ORACLE_FRAMES = (
+    ("PASSIVE", {"aux:pass"}, set()),
+    ("ATTR", {"cop"}, set()),
+    ("DITRAN", {"iobj", "obj"}, set()),
+    ("CAUS_MOT", {"obj", "obl"}, set()),
+    ("TRAN_RES", {"obj", "xcomp"}, set()),
+    ("TRAN_S", {"obj"}, set()),
+    ("INTRAN_MOT", {"obl"}, set()),
+    ("INTRAN_RES", {ORACLE_RESULT}, set()),
+    ("INTRAN_S", set(), {"cop", "obj", "iobj", "obl", "xcomp", "nsubj:pass", "aux:pass"}),
+)
+# The tag's lemma is the predicate's, lowercased, except ATTR, which takes the
+# lemma of its first copula; a tag whose lemma is empty is not emitted.
+ORACLE_LEMMA_FROM = {"ATTR": "cop"}
+
+
+def oracle_read(text):
+    """Sentences of (id, lemma, upos, head, deprel) rows; comments skipped."""
+    sentences = []
+    for block in text.split("\n\n"):
+        rows = [line.split("\t") for line in block.split("\n") if line and line[0] != "#"]
+        if rows:
+            sentences.append([(int(r[0]), r[2], r[3], int(r[6]), r[7]) for r in rows])
+    return sentences
+
+
+def oracle_base(deprel):
+    return deprel if deprel in ORACLE_KEPT_SUBTYPES else deprel.split(":")[0]
+
+
+def oracle_tags(text):
+    """(sentence index, predicate id, tag, lemma) for every tag, in order."""
+    out = []
+    for s, rows in enumerate(oracle_read(text)):
+        for tok_id, lemma, upos, _, _ in rows:
+            deps = [r for r in rows if r[3] == tok_id]
+            rels = {oracle_base(r[4]) for r in deps}
+            rels |= {
+                ORACLE_RESULT for r in deps
+                if oracle_base(r[4]) == "advmod" and r[2] == "ADV"
+                and r[1].lower() not in ORACLE_STOPLIST
+            }
+            if upos != ORACLE_CANDIDATE_UPOS and ORACLE_CANDIDATE_DEPENDENT not in rels:
+                continue
+            for tag, required, forbidden in ORACLE_FRAMES:
+                subject = ORACLE_SUBJECT_OF.get(tag, ORACLE_SUBJECT)
+                if subject in rels and required <= rels and not rels & forbidden:
+                    anchor = ORACLE_LEMMA_FROM.get(tag)
+                    tag_lemma = lemma if anchor is None else next(
+                        r[1] for r in deps if oracle_base(r[4]) == anchor
+                    )
+                    if tag_lemma:
+                        out.append((s, tok_id, tag, tag_lemma.lower()))
+                    break
+    return out
+
+
+UD_RELATIONS = [
+    "acl", "acl:relcl", "advcl", "advmod", "advmod:emph", "amod", "appos", "aux",
+    "aux:pass", "case", "cc", "ccomp", "clf", "compound", "conj", "cop", "csubj",
+    "csubj:pass", "dep", "det", "discourse", "dislocated", "expl", "fixed", "flat",
+    "goeswith", "iobj", "list", "mark", "nmod", "nmod:poss", "nsubj", "nsubj:outer",
+    "nsubj:pass", "nummod", "obj", "obl", "obl:agent", "obl:npmod", "obl:tmod",
+    "orphan", "parataxis", "punct", "reparandum", "vocative", "xcomp",
+]
+# Relations some frame or the candidate and subject rules read; drawn often.
+FRAME_RELATIONS = [
+    "nsubj", "nsubj:pass", "nsubj:outer", "aux:pass", "cop", "obj", "iobj", "obl",
+    "obl:tmod", "xcomp", "advmod",
+]
+UPOS_TAGS = [
+    "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM", "PART",
+    "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
+]
+ADVERB_LEMMAS = sorted(ORACLE_STOPLIST) + ["Very", "THEN", "shut", "apart", "quickly"]
+LEMMAS = ADVERB_LEMMAS + ["be", "Be", "give", "Eat", "dog", "happy", ""]
+
+
+class _Node:
+    """A token under construction; its head is another node, or None for the root."""
+
+    def __init__(self, lemma, upos, head, deprel):
+        self.lemma, self.upos, self.head, self.deprel = lemma, upos, head, deprel
+
+
+@st.composite
+def ud_sentences(draw):
+    """A corpusgen template with random attachments, relabels and UPOS changes."""
+    asc_type = draw(st.sampled_from(sorted(corpusgen.VERBS)))
+    block = corpusgen.make_sentence(random.Random(draw(st.integers(0, 99))), asc_type)
+    rows = [line.split("\t") for line in block.splitlines()]
+    nodes = [_Node(r[2], r[3], int(r[6]), r[7]) for r in rows]
+    for node in nodes:
+        node.head = nodes[node.head - 1] if node.head else None
+    root = next(n for n in nodes if n.head is None)
+    labels = st.one_of(st.sampled_from(FRAME_RELATIONS), st.sampled_from(UD_RELATIONS))
+    # A subset of the frame relations added on the root, drawn as a bit mask
+    # so frames meet in every combination (CAUS_MOT's and TRAN_RES's, for one).
+    bundle = draw(st.one_of(st.just(0), st.integers(0, 2 ** len(FRAME_RELATIONS) - 1)))
+    for bit, rel in enumerate(FRAME_RELATIONS):
+        if bundle >> bit & 1:
+            lemma, upos = draw(st.sampled_from(LEMMAS)), draw(st.sampled_from(UPOS_TAGS))
+            nodes.append(_Node(lemma, upos, root, rel))
+    for _ in range(draw(st.integers(0, 4))):
+        position = draw(st.integers(0, len(nodes)))
+        head = draw(st.one_of(st.just(root), st.sampled_from(nodes)))
+        if draw(st.booleans()):
+            node = _Node(draw(st.sampled_from(ADVERB_LEMMAS)), "ADV", head, "advmod")
+        else:
+            node = _Node(
+                draw(st.sampled_from(LEMMAS)), draw(st.sampled_from(UPOS_TAGS)), head, draw(labels)
+            )
+        nodes.insert(position, node)
+    dependents = [n for n in nodes if n.head is not None]
+    for node in draw(st.lists(st.sampled_from(dependents), max_size=2)):
+        node.deprel = draw(labels)
+    for node in draw(st.lists(st.sampled_from(nodes), max_size=1)):
+        node.upos = draw(st.sampled_from(UPOS_TAGS))
+    ids = {id(n): i for i, n in enumerate(nodes, start=1)}
+    ids[id(None)] = 0
+    return "".join(
+        f"{ids[id(n)]}\tw\t{n.lemma}\t{n.upos}\t_\t_\t{ids[id(n.head)]}\t{n.deprel}\t_\t_\n"
+        for n in nodes
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(sentences=st.lists(ud_sentences(), min_size=1, max_size=6))
+def test_tagger_agrees_with_frame_table(sentences, tmp_path_factory):
+    text = "\n".join(sentences)
+    tags = tag_document(parse_conllu(text, "t"))
+    got = [(t.sentence_index, t.verb_token_id, t.asc_type, t.verb_lemma) for t in tags]
+    assert got == oracle_tags(text)
+    predicates = [(t.sentence_index, t.verb_token_id) for t in tags]
+    assert len(predicates) == len(set(predicates))
+    path = tmp_path_factory.getbasetemp() / "trees.conllu"
+    path.write_text(text, encoding="utf-8")
+    assert tag_document(parse_conllu_file(path, "t")) == tags
+
+
+# Every combination of these dependents on one predicate, VERB or ADJ: the
+# frames meet in each order the precedence table can put them.
+COMBINED_DEPENDENTS = [
+    ("nsubj", "dog", "NOUN"), ("nsubj:pass", "cat", "NOUN"), ("aux:pass", "be", "AUX"),
+    ("cop", "be", "AUX"), ("obj", "ball", "NOUN"), ("iobj", "child", "NOUN"),
+    ("obl:tmod", "monday", "NOUN"), ("xcomp", "flat", "ADJ"), ("advmod", "apart", "ADV"),
+    ("advmod", "Very", "ADV"),
+]
+
+
+def test_every_frame_combination_agrees_with_frame_table():
+    blocks = []
+    for upos in ("VERB", "ADJ"):
+        for mask in range(2 ** len(COMBINED_DEPENDENTS)):
+            chosen = [d for bit, d in enumerate(COMBINED_DEPENDENTS) if mask >> bit & 1]
+            lines = [f"1\tw\tact\t{upos}\t_\t_\t0\troot\t_\t_"]
+            lines += [
+                f"{i}\tw\t{lemma}\t{u}\t_\t_\t1\t{rel}\t_\t_"
+                for i, (rel, lemma, u) in enumerate(chosen, start=2)
+            ]
+            blocks.append("\n".join(lines) + "\n")
+    text = "\n".join(blocks)
+    tags = tag_document(parse_conllu(text, "t"))
+    got = [(t.sentence_index, t.verb_token_id, t.asc_type, t.verb_lemma) for t in tags]
+    assert got == oracle_tags(text)
+    assert {t.asc_type for t in tags} == set(ASC_TYPES)
