@@ -1,4 +1,9 @@
-"""Read CoNLL-U dependency-annotated text into Document/Sentence/Token objects.
+"""Read CoNLL-U dependency-annotated text into Documents of Sentences.
+
+A Sentence holds each word as a row, the tuple (id, form, lemma, upos, head,
+deprel): Token's fields in Token's order, so Token(*row) is that word.  Only
+these six columns are kept.  The tagger reads the rows; Token objects are
+built only when Sentence.tokens or Sentence.deps is asked for.
 
 Only pre-parsed input is supported; tokenization and parsing of raw text are
 left to whatever UD parser produced the file.
@@ -38,19 +43,42 @@ class Token:
     deprel: str
 
 
+# A word as the parser keeps it: Token's fields, in Token's order.
+Row = tuple[int, str, str, str, int, str]
+
+
 @dataclass(slots=True)
 class Sentence:
-    """Tokens in file order, token k having id k + 1.
+    """Rows in file order, row k having id k + 1.
 
-    deps[h] lists the dependents of the token with id h, in token order, or
-    is None if it has none; deps[0] is None, since roots appear in no list.
+    dep_rows[h] lists the rows of the dependents of the word with id h, in
+    word order, or is None if it has none; dep_rows[0] is None, since roots
+    appear in no list.  tokens and deps are the same two lists over Token
+    objects, built anew on each request.
     """
 
-    tokens: list[Token]
-    deps: list[list[Token] | None]
+    rows: list[Row]
+    dep_rows: list[list[Row] | None]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.rows)
+
+    @property
+    def tokens(self) -> list[Token]:
+        return [Token(*row) for row in self.rows]
+
+    @property
+    def deps(self) -> list[list[Token] | None]:
+        return self.token_view()[1]
+
+    def token_view(self) -> tuple[list[Token], list[list[Token] | None]]:
+        """tokens and deps built together, so deps holds the same objects as tokens."""
+        tokens = self.tokens
+        deps = [
+            None if rows is None else [tokens[row[0] - 1] for row in rows]
+            for rows in self.dep_rows
+        ]
+        return tokens, deps
 
 
 @dataclass(slots=True)
@@ -81,7 +109,7 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
     else:
         lines = (raw.rstrip("\r\n") for raw in stream)
     sentences: list[Sentence] = []
-    current: list[Token] = []
+    current: list[Row] = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             if current:
@@ -114,7 +142,7 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
             head_id = int(head)
         if word_id != len(current) + 1:
             raise ConlluError(f"line {lineno}: word id {word_id}, expected {len(current) + 1}")
-        current.append(Token(word_id, form, lemma, upos, head_id, deprel))
+        current.append((word_id, form, lemma, upos, head_id, deprel))
     if current:
         sentences.append(_finish_sentence(current, len(sentences)))
     return Document(source_id=source_id, sentences=sentences)
@@ -131,26 +159,26 @@ def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Documen
     return parse_conllu(text, source_id=source_id if source_id is not None else path.name)
 
 
-def _finish_sentence(tokens: list[Token], index: int) -> Sentence:
-    """Validate the head graph of tokens with ids 1..n: one root, heads in range, no cycles.
+def _finish_sentence(rows: list[Row], index: int) -> Sentence:
+    """Validate the head graph of rows with ids 1..n: one root, heads in range, no cycles.
 
     With one root and every head in range, the graph is a tree exactly when
-    a walk down the dependents from the root reaches every token.
+    a walk down the dependents from the root reaches every row.
     """
-    n = len(tokens)
-    deps: list[list[Token] | None] = [None] * (n + 1)
-    roots: list[Token] = []
-    missing = None  # the first head in token order that names no token
-    for t in tokens:
-        head = t.head
+    n = len(rows)
+    dep_rows: list[list[Row] | None] = [None] * (n + 1)
+    roots: list[Row] = []
+    missing = None  # the first head in word order that names no word
+    for row in rows:
+        head = row[4]
         if head == 0:
-            roots.append(t)
+            roots.append(row)
         elif head <= n:
-            dependents = deps[head]
+            dependents = dep_rows[head]
             if dependents is None:
-                deps[head] = [t]
+                dep_rows[head] = [row]
             else:
-                dependents.append(t)
+                dependents.append(row)
         elif missing is None:
             missing = head
     if not roots:
@@ -159,11 +187,11 @@ def _finish_sentence(tokens: list[Token], index: int) -> Sentence:
         raise ConlluError(f"sentence {index}: multiple root tokens")
     if missing is not None:
         raise ConlluError(f"sentence {index}: head {missing} points to missing token")
-    reached = roots  # the root, then each token reached from it: grows while walked
-    for t in reached:
-        dependents = deps[t.id]
+    reached = roots  # the root, then each row reached from it: grows while walked
+    for row in reached:
+        dependents = dep_rows[row[0]]
         if dependents:
             reached += dependents
     if len(reached) != n:
         raise ConlluError(f"sentence {index}: cyclic dependency structure")
-    return Sentence(tokens, deps)
+    return Sentence(rows, dep_rows)

@@ -160,6 +160,8 @@ def _parse_norms(text: str) -> NormTable:
             key, sep, value = line[1:].partition("=")
             if not sep:
                 raise NormTableError(f"malformed norm file: bad header at line {lineno}")
+            if key in header:
+                raise NormTableError(f"malformed norm file: repeated #{key} header at line {lineno}")
             header[key] = value
             continue
         fields = line.split("\t")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .ingest import Document, Sentence, Token
+from .ingest import Document, Row, Sentence
 
 # The nine construction tags, alphabetical.  This order is canonical for all
 # per-type output columns.
@@ -68,38 +68,40 @@ def normalize_deprel(deprel: str) -> str:
 
 
 def tag_sentence(sentence: Sentence, sentence_index: int = 0, source_id: str = "") -> list[AscToken]:
-    """Tag every qualifying predicate in one sentence, in token-id order.
+    """Tag every qualifying predicate in one sentence, in word-id order.
 
-    Candidates are VERB tokens and tokens governing a copula; _classify
-    picks each one's frame, if any.
+    Candidates are VERB words and words governing a copula; _classify
+    picks each one's frame, if any.  A row is (id, form, lemma, upos, head,
+    deprel), so row[0] is the id, row[2] the lemma, row[3] the UPOS and
+    row[5] the relation.
     """
     tags: list[AscToken] = []
-    deps_of = sentence.deps
-    for tok in sentence.tokens:
-        # A token without dependents fits no frame.
-        deps = deps_of[tok.id]
+    dep_rows = sentence.dep_rows
+    for row in sentence.rows:
+        # A word without dependents fits no frame.
+        deps = dep_rows[row[0]]
         if deps is None:
             continue
-        rels = {normalize_deprel(d.deprel) for d in deps}
-        if tok.upos != "VERB" and "cop" not in rels:
+        rels = {normalize_deprel(d[5]) for d in deps}
+        if row[3] != "VERB" and "cop" not in rels:
             continue
         asc_type = _classify(rels, deps)
         if asc_type is None:
             continue
         if asc_type == "ATTR":
-            # deps is in token order, so this is the first copula.
-            cop = next(d for d in deps if normalize_deprel(d.deprel) == "cop")
-            lemma = cop.lemma.lower()
+            # deps is in word order, so this is the first copula.
+            cop = next(d for d in deps if normalize_deprel(d[5]) == "cop")
+            lemma = cop[2].lower()
         else:
-            lemma = tok.lemma.lower()
+            lemma = row[2].lower()
         if not lemma:
             continue
-        tags.append(AscToken(asc_type, tok.id, lemma, sentence_index, source_id))
+        tags.append(AscToken(asc_type, row[0], lemma, sentence_index, source_id))
     return tags
 
 
-def _classify(rels: set[str], deps: list[Token]) -> str | None:
-    """The frame of a candidate with base relations rels over dependents deps.
+def _classify(rels: set[str], deps: list[Row]) -> str | None:
+    """The frame of a candidate with base relations rels over dependent rows deps.
 
     First matching frame wins; richer frames are checked before leaner ones.
     Every frame needs an overt subject: nsubj:pass for the passive, nsubj
@@ -123,9 +125,9 @@ def _classify(rels: set[str], deps: list[Token]) -> str | None:
     if "obl" in rels:
         return "INTRAN_MOT"
     if "advmod" in rels and any(
-        normalize_deprel(d.deprel) == "advmod"
-        and d.upos == "ADV"
-        and d.lemma.lower() not in ADVERB_STOPLIST
+        normalize_deprel(d[5]) == "advmod"
+        and d[3] == "ADV"
+        and d[2].lower() not in ADVERB_STOPLIST
         for d in deps
     ):
         return "INTRAN_RES"

@@ -141,6 +141,21 @@ def test_load_missing_header(tmp_path):
         load_norms(path)
 
 
+@pytest.mark.parametrize(
+    "key, first, second", [("total", "3", "5"), ("source", "x", "y"), ("version", "1.0.0", "1.0.1")]
+)
+def test_load_repeated_header_is_an_error(tmp_path, key, first, second):
+    header = {"source": "x", "version": "1.0.0", "total": "3"}
+    lines = [f"#{k}={v}" for k, v in header.items() if k != key]
+    # The repeat is line 3: it must fail, not silently replace line 2.
+    lines[1:1] = [f"#{key}={first}", f"#{key}={second}"]
+    path = tmp_path / "bad.tsv"
+    path.write_text("\n".join(lines) + "\nTRAN_S\teat\t3\n", encoding="utf-8")
+    with pytest.raises(NormTableError) as info:
+        load_norms(path)
+    assert str(info.value) == f"{path}: malformed norm file: repeated #{key} header at line 3"
+
+
 def test_load_inconsistent_total(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text(
