@@ -136,6 +136,69 @@ def test_bom_prefixed_file_parses_like_the_plain_file(frames_dir, tmp_path):
     assert parse_conllu_file(bom) == parse_conllu_file(plain)
 
 
+# Every column distinct, with a range and an empty node: only the six
+# columns of the words make a Token.
+VIEWED = """\
+# text = Don't look back now.
+1-2\tDon't\t_\t_\t_\t_\t_\t_\t_\t_
+1\tDo\tdo\tAUX\tVBP\tMood=Imp\t3\taux\t3:aux\tSpaceAfter=No
+2\tn't\tnot\tPART\tRB\tPolarity=Neg\t3\tadvmod\t3:advmod\t_
+3\tlook\tlook\tVERB\tVB\tVerbForm=Inf\t0\troot\t0:root\t_
+3.1\tghost\tghost\tNOUN\tNN\t_\t_\t_\t3:obj\t_
+4\tback\tback\tADV\tRB\t_\t3\tcompound:prt\t3:compound:prt\t_
+5\tnow\tnow\tADV\tRB\t_\t3\tadvmod:tmod\t3:advmod\tSpaceAfter=No
+6\t.\t.\tPUNCT\t.\t_\t3\tpunct\t3:punct\t_
+
+1\tGo\tgo\tVERB\tVB\t_\t0\troot\t0:root\t_
+"""
+
+
+def _six_columns(text):
+    """Token(id, form, lemma, upos, head, deprel) per word line, sentence by sentence."""
+    sentences = []
+    for block in text.split("\n\n"):
+        cols = [line.split("\t") for line in block.splitlines() if line and line[0] != "#"]
+        sentences.append([
+            Token(int(c[0]), c[1], c[2], c[3], int(c[6]), c[7]) for c in cols if c[0].isdigit()
+        ])
+    return sentences
+
+
+def test_tokens_are_the_six_columns_of_each_word():
+    doc = parse_conllu(VIEWED)
+    assert [s.tokens for s in doc.sentences] == _six_columns(VIEWED)
+    assert [len(s) for s in doc.sentences] == [6, 1]
+    assert doc.n_tokens() == 7
+
+
+def test_deps_hold_the_objects_of_the_same_tokens_list():
+    sentence = parse_conllu(VIEWED).sentences[0]
+    tokens, deps = sentence.token_view()
+    assert tokens == sentence.tokens
+    assert deps == sentence.deps
+    assert deps[0] is None and [h for h, d in enumerate(deps) if d] == [3]
+    assert [t.id for t in deps[3]] == [1, 2, 4, 5, 6]
+    for dependents in deps:
+        for t in dependents or ():
+            assert t is tokens[t.id - 1]
+
+
+def test_tokens_are_built_anew_on_each_request():
+    sentence = parse_conllu(VIEWED).sentences[0]
+    sentence.tokens[2].lemma = "see"
+    sentence.deps[3][0].form = "Did"
+    assert sentence.tokens == _six_columns(VIEWED)[0]
+
+
+def test_bom_and_plain_files_give_equal_documents_and_tokens(tmp_path):
+    plain, bom = tmp_path / "plain.conllu", tmp_path / "bom.conllu"
+    plain.write_text(VIEWED, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    docs = [parse_conllu_file(path, "x") for path in (plain, bom)]
+    assert docs[0] == docs[1]
+    assert [s.tokens for s in docs[1].sentences] == _six_columns(VIEWED)
+
+
 TWO = BARKED + "\n" + BARKED  # two sentences on lines 1-4 and 6-9
 NINE_COLUMNS = "1\tx\tx\tX\t_\t_\t0\troot\t_\n"  # appended to TWO, it is line 10
 LINE_10 = "line 10: malformed token line (9 columns, expected 10)"

@@ -1,11 +1,14 @@
 import random
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from asc_toolkit import cli
 from asc_toolkit.ingest import Document, parse_conllu, parse_conllu_file
+from asc_toolkit.norms import NormTableError, build_norms, contingency, load_norms, save_norms
 from asc_toolkit.tagger import (
     ASC_TYPES,
     debug_lines,
@@ -424,6 +427,61 @@ def test_tagger_agrees_with_frame_table(sentences, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "trees.conllu"
     path.write_text(text, encoding="utf-8")
     assert tag_document(parse_conllu_file(path, "t")) == tags
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    documents=st.lists(st.lists(ud_sentences(), min_size=1, max_size=6), min_size=1, max_size=3)
+)
+def test_norms_over_drawn_trees_round_trip_and_cells_sum_to_total(documents, tmp_path_factory):
+    docs = [parse_conllu("\n".join(sentences), f"d{i}") for i, sentences in enumerate(documents)]
+    if not any(tag_document(doc) for doc in docs):
+        with pytest.raises(NormTableError, match="empty norm table"):
+            build_norms(docs, "drawn")
+        return
+    norm = build_norms(docs, "drawn")
+    path = tmp_path_factory.getbasetemp() / "drawn.tsv"
+    save_norms(norm, path)
+    assert load_norms(path) == norm
+    header_total = next(
+        int(line[len("#total="):]) for line in path.read_text(encoding="utf-8").split("\n")
+        if line.startswith("#total=")
+    )
+    lemmas = {lemma for _, lemma in norm.pair_counts}
+    # Every type against every lemma of the table, so pairs with a = 0 count too.
+    for asc_type in ASC_TYPES:
+        for lemma in lemmas:
+            cells = contingency(norm, asc_type, lemma)
+            assert min(cells.a, cells.b, cells.c_cell, cells.d) >= 0
+            assert cells.a + cells.b + cells.c_cell + cells.d == header_total
+
+
+def test_drawn_trees_analyze_the_same_with_one_and_two_jobs(tmp_path, capsys):
+    # One fixed draw of eight documents, the first one generated that tags
+    # at least six construction types.
+    documents = find(
+        st.lists(st.lists(ud_sentences(), min_size=1, max_size=6), min_size=8, max_size=8),
+        lambda docs: len(
+            {t.asc_type for sentences in docs for t in tag_document(parse_conllu("\n".join(sentences)))}
+        ) >= 6,
+        settings=settings(database=None, phases=[Phase.generate], max_examples=1000),
+        random=random.Random(18),
+    )
+    texts = tmp_path / "texts"
+    texts.mkdir()
+    for i, sentences in enumerate(documents):
+        (texts / f"text{i}.conllu").write_text("\n".join(sentences), encoding="utf-8")
+    outputs = {}
+    for jobs in ("1", "2"):
+        csv_path, tags_path = tmp_path / f"j{jobs}.csv", tmp_path / f"j{jobs}.tags"
+        assert cli.main([
+            "analyze", "--input-dir", str(texts), "--source", "demo", "--jobs", jobs,
+            "--output-csv", str(csv_path), "--debug-tags", str(tags_path),
+        ]) == 0
+        assert "analyzed 8 of 8 files, 0 warnings" in capsys.readouterr().err
+        outputs[jobs] = (csv_path.read_bytes(), tags_path.read_bytes())
+    assert outputs["1"] == outputs["2"]
+    assert len(outputs["1"][0].decode().splitlines()) == 9
 
 
 # Every combination of these dependents on one predicate, VERB or ADJ: the
