@@ -115,24 +115,23 @@ def resolve_source(source: str) -> Path:
 
 
 def discover_files(root: Path, recursive: bool) -> list[tuple[str, Path]]:
-    """(key, path) pairs sorted by key; key is the posix path relative to root."""
+    """(key, path) pairs sorted by key; key is the posix path relative to root.
+
+    A root that is not a directory, or that holds no .conllu file, is a ValueError.
+    """
+    if not root.is_dir():
+        raise ValueError(f"{root} is not a directory")
     pattern = "**/*.conllu" if recursive else "*.conllu"
     pairs = [(p.relative_to(root).as_posix(), p) for p in root.glob(pattern)]
+    if not pairs:
+        raise ValueError(f"no .conllu files found in {root}")
     return sorted(pairs)
-
-
-def _parse(path: Path, key: str):
-    """parse_conllu_file, with a read, decode or parse error naming the file by key."""
-    try:
-        return parse_conllu_file(path, source_id=key)
-    except (OSError, UnicodeDecodeError, ConlluError) as exc:
-        raise ConlluError(f"{key}: {exc}") from exc
 
 
 def _analyze_one(path: Path, key: str, norm: NormTable, cfg: IndexConfig, want_debug: bool):
     """(CSV row, None, debug lines) for a readable file; (None, warning, []) otherwise."""
     try:
-        doc = _parse(path, key)
+        doc = parse_conllu_file(path, key)
     except ConlluError as exc:
         return None, str(exc), []
     tags = tag_document(doc)
@@ -194,12 +193,7 @@ def cmd_analyze(args) -> int:
         cfg = IndexConfig(window=args.window, min_ref_freq=args.min_ref_freq)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    input_dir = Path(args.input_dir)
-    if not input_dir.is_dir():
-        raise ValueError(f"input dir {input_dir} does not exist")
-    files = discover_files(input_dir, args.recursive)
-    if not files:
-        raise ValueError(f"no .conllu files found in {input_dir}")
+    files = discover_files(Path(args.input_dir), args.recursive)
     # Each worker forked holds a copy of the norm table: no more of them than files.
     jobs = min(args.jobs, len(files))
     norm = load_norms(resolve_source(args.source))
@@ -249,10 +243,8 @@ def cmd_build_norms(args) -> int:
     if args.label is not None and ("\n" in args.label or "\r" in args.label):
         raise UsageError(f"--label must not hold a line break, got {args.label!r}")
     corpus_dir = Path(args.corpus_dir)
-    if not corpus_dir.is_dir():
-        raise ValueError(f"corpus dir {corpus_dir} does not exist")
     files = discover_files(corpus_dir, args.recursive)
-    documents = (_parse(path, key) for key, path in files)
+    documents = (parse_conllu_file(path, key) for key, path in files)
     label = args.label if args.label is not None else corpus_dir.name
     with _replace_on_success(args.debug_tags) as debug:
         norm = build_norms(documents, label, debug=debug)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 # Word ids and heads up to 1023 are read through this table.  Any other is
 # checked with str.isdecimal(), which accepts exactly the characters \d
@@ -23,8 +22,6 @@ from typing import Iterable
 _SMALL_INTS = {str(i): i for i in range(1024)}
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
-# The carriage returns that end a line of str input, as rstrip("\r\n") drops them.
-_LINE_END_CR = re.compile(r"\r+$", re.MULTILINE)
 
 
 class ConlluError(ValueError):
@@ -90,27 +87,23 @@ class Document:
         return sum(len(s) for s in self.sentences)
 
 
-def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Document:
-    """Parse a CoNLL-U character stream into a Document.
+def parse_conllu(text: str, source_id: str = "<stream>") -> Document:
+    """Parse CoNLL-U text into a Document.
 
     Token lines must have exactly 10 tab-separated columns, and the word ids
     of a sentence must run 1, 2, ..., n in order; multiword-token ranges
     ("3-4") and empty nodes ("3.1") are dropped.  Comment lines and columns
     other than ID/FORM/LEMMA/UPOS/HEAD/DEPREL are ignored.
 
-    A str is split into lines at each line feed, and the carriage returns
-    that end a line are dropped; any other iterable gives one line per item,
-    less its trailing line breaks.  Only an empty line ends a sentence.
+    A line ends at a line feed, a CRLF or a lone carriage return, as in a
+    file read in text mode, so no field holds a carriage return.  Only an
+    empty line ends a sentence.
     """
-    if isinstance(stream, str):
-        if "\r" in stream:
-            stream = _LINE_END_CR.sub("", stream)
-        lines: Iterable[str] = stream.split("\n")
-    else:
-        lines = (raw.rstrip("\r\n") for raw in stream)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     sentences: list[Sentence] = []
     current: list[Row] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             if current:
                 sentences.append(_finish_sentence(current, len(sentences)))
@@ -151,12 +144,15 @@ def parse_conllu(stream: Iterable[str] | str, source_id: str = "<stream>") -> Do
 def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Document:
     """Parse a UTF-8 CoNLL-U file, read whole; a leading byte order mark is skipped.
 
-    Lines end at a line feed, a carriage return, or the two together.
+    source_id defaults to the file's name.  A read, decode or parse error is
+    a ConlluError whose text starts with the source_id.
     """
     path = Path(path)
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    return parse_conllu(text, source_id=source_id if source_id is not None else path.name)
+    source_id = path.name if source_id is None else source_id
+    try:
+        return parse_conllu(path.read_text(encoding="utf-8-sig"), source_id)
+    except (OSError, UnicodeDecodeError, ConlluError) as exc:
+        raise ConlluError(f"{source_id}: {exc}") from exc
 
 
 def _finish_sentence(rows: list[Row], index: int) -> Sentence:

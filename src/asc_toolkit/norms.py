@@ -140,7 +140,7 @@ def load_norms(path: str | Path) -> NormTable:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NormTableError(f"cannot read norm file {path}: {exc}") from exc
     try:
         return _parse_norms(text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -578,6 +579,16 @@ def _csv_error(path: str | Path, line: int, column: str, problem: str) -> ValueE
     return ValueError(f"{path}: line {line}, column {column!r}: {problem}")
 
 
+@contextmanager
+def _csv_rows(path: str | Path) -> Iterator:
+    """A csv.reader over a UTF-8 file; a byte that is not UTF-8 is a ValueError naming it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _header(reader, path: str | Path, kind: str) -> list[str]:
     """The column names of a CSV, which must include JOIN_COLUMN and repeat none."""
     names = next(reader, None)
@@ -643,11 +654,11 @@ def load_feature_matrix(
     name, a row with fewer or more cells than its header, a duplicate
     filename, a non-numeric index cell, or a nan or inf cell in either file
     is a ValueError naming the file, the line and the column.  Blank lines
-    are skipped.  Both files may start with a UTF-8 byte order mark.
+    are skipped.  Both files are UTF-8 and may start with a byte order mark;
+    a byte that is not UTF-8 is a ValueError naming the file.
     """
     scores: dict[str, float] = {}
-    with open(scores_csv, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(scores_csv) as reader:
         header = _header(reader, scores_csv, "scores")
         wanted = composite_of if composite_of else [score_column]
         missing = [c for c in wanted if c not in header]
@@ -667,8 +678,7 @@ def load_feature_matrix(
     ids: list[str] = []
     target: list[float] = []
     flat = array("d")  # one buffer, and numpy imported after the loop: both keep peak memory down
-    with open(indices_csv, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(indices_csv) as reader:
         header = _header(reader, indices_csv, "indices")
         key_at = header.index(JOIN_COLUMN)
         feature_names = header[:key_at] + header[key_at + 1 :]

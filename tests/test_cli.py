@@ -410,7 +410,7 @@ def test_build_norms_empty_dir_aborts(tmp_path, capsys):
     inp.mkdir()
     rc = cli.main(["build-norms", "--corpus-dir", str(inp), "--out", str(tmp_path / "n.tsv")])
     assert rc == 2
-    assert "empty norm table" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: no .conllu files found in {inp}\n"
 
 
 def test_build_norms_debug_stream_matches_table(frames_dir, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from asc_toolkit import cli
 from asc_toolkit.ingest import ConlluError, Token, parse_conllu, parse_conllu_file
+from test_tagger import ud_sentences
 
 BARKED = """\
 1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_
@@ -202,57 +203,67 @@ def test_bom_and_plain_files_give_equal_documents_and_tokens(tmp_path):
 TWO = BARKED + "\n" + BARKED  # two sentences on lines 1-4 and 6-9
 NINE_COLUMNS = "1\tx\tx\tX\t_\t_\t0\troot\t_\n"  # appended to TWO, it is line 10
 LINE_10 = "line 10: malformed token line (9 columns, expected 10)"
-LINE_1_73 = "line 1: malformed token line (73 columns, expected 10)"
-
-
-def _dog_form(form):
-    # Lines given as a list end only where the list splits them, so a lone
-    # carriage return inside a field survives.
-    return parse_conllu(TWO.replace("\tdog\t", f"\t{form}\t", 1).split("\n")).sentences
+HEADLESS = "sentence 0: headless sentence (no head=0 token)"
+LEMMA_CR = TWO.replace("\tbark\t", "\tba\rrk\t", 1)
+LINE_3_CR = "line 3: malformed token line (3 columns, expected 10)"
 
 
 @pytest.mark.parametrize(
     "form, text, expected",
     [
         ("str", TWO.replace("\n", "\r\n"), None),
-        ("str", TWO.replace("\n", "\r\r\n"), None),
-        ("str", TWO.replace("\tdog\t", "\tdo\rg\t", 1), _dog_form("do\rg")),
+        # \r\r\n is a carriage return and then a CRLF: two line breaks, so
+        # token 1 is a sentence alone.
+        ("str", TWO.replace("\n", "\r\r\n"), HEADLESS),
+        # A carriage return inside a field ends its line there.  Kept in a
+        # lemma, it would reach a norm table that load_norms rejects.
+        ("str", LEMMA_CR, LINE_3_CR),
         ("str", (TWO + NINE_COLUMNS).replace("\n", "\r\n"), LINE_10),
-        # A lone carriage return ends no line of str input: all 8 tokens are line 1.
-        ("str", TWO.replace("\n", "\r"), LINE_1_73),
+        ("str", TWO.replace("\n", "\r"), None),
         ("str", "\ufeff" + TWO, "line 1: malformed token line (non-integer id '\\ufeff1')"),
         ("file", TWO.replace("\n", "\r"), None),
-        ("file", (TWO + NINE_COLUMNS).replace("\n", "\r"), LINE_10),
-        # A file reads \r\r\n as two line breaks, so token 1 is a sentence alone.
-        ("file", TWO.replace("\n", "\r\r\n"), "sentence 0: headless sentence (no head=0 token)"),
+        ("file", (TWO + NINE_COLUMNS).replace("\n", "\r"), "t.conllu: " + LINE_10),
+        ("file", TWO.replace("\n", "\r\r\n"), "t.conllu: " + HEADLESS),
         ("file", TWO.rstrip("\n"), None),
         ("file", "\ufeff" + TWO.replace("\n", "\r\n"), None),
-        ("lines", TWO.splitlines(keepends=True), None),
-        ("lines", TWO.splitlines(), None),
-        ("lines", TWO.replace("\n", "\r\n").splitlines(keepends=True), None),
-        ("lines", (TWO + NINE_COLUMNS).splitlines(), LINE_10),
+        ("file", LEMMA_CR, "t.conllu: " + LINE_3_CR),
     ],
     ids=[
         "str-crlf", "str-cr-crlf", "str-lone-cr-in-a-field", "str-crlf-error-line",
         "str-lone-cr-between-lines", "str-bom", "file-lone-cr-breaks", "file-lone-cr-error-line",
-        "file-cr-crlf", "file-no-final-newline", "file-bom-crlf", "lines-with-ends",
-        "lines-without-ends", "lines-with-crlf-ends", "lines-error-line",
+        "file-cr-crlf", "file-no-final-newline", "file-bom-crlf", "file-lone-cr-in-a-field",
     ],
 )
 def test_line_endings_and_input_forms(form, text, expected, tmp_path):
-    """Each line ending and input form parses as it always has; None means as TWO does."""
+    """A str and a file take one line rule; None means the text parses as TWO does."""
     parse = parse_conllu
     if form == "file":
         path = tmp_path / "t.conllu"
         path.write_bytes(text.encode("utf-8"))
         parse, text = parse_conllu_file, path
-    if isinstance(expected, str):
+    if expected is None:
+        assert parse(text).sentences == parse_conllu(TWO).sentences
+    else:
         with pytest.raises(ConlluError) as exc:
             parse(text)
         assert str(exc.value) == expected
-    else:
-        want = parse_conllu(TWO).sentences if expected is None else expected
-        assert parse(text).sentences == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(sentences=st.lists(ud_sentences(), min_size=1, max_size=4), data=st.data())
+def test_every_line_ending_reads_as_a_line_feed(sentences, data, tmp_path_factory):
+    text = "\n".join(sentences)
+    mixed, end = "", "\n"
+    for line in text.split("\n")[:-1]:
+        # A lone CR then an empty line ended by LF would be one CRLF.
+        ends = ["\n", "\r\n", "\r"] if line or end != "\r" else ["\r\n", "\r"]
+        end = data.draw(st.sampled_from(ends))
+        mixed += line + end
+    path = tmp_path_factory.getbasetemp() / "endings.conllu"
+    path.write_bytes(mixed.encode("utf-8"))
+    want = [(s.rows, s.dep_rows) for s in parse_conllu(text).sentences]
+    for doc in (parse_conllu(mixed), parse_conllu_file(path)):
+        assert [(s.rows, s.dep_rows) for s in doc.sentences] == want
 
 
 def test_non_decimal_unicode_digits_are_rejected_with_the_line():

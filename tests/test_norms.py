@@ -221,6 +221,17 @@ def test_load_errors_name_the_file(tmp_path, text):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"#source=x\n#version=1.0.0\n#total=3\nTRAN_S\t\xff\t3\n")
+    with pytest.raises(NormTableError) as info:
+        load_norms(path)
+    assert str(info.value) == (
+        f"cannot read norm file {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 41: invalid start byte"
+    )
+
+
 # Characters str.splitlines() treats as line breaks that CoNLL-U lines may hold.
 UNICODE_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 

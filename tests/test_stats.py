@@ -953,6 +953,17 @@ def test_load_feature_matrix_accepts_bom(tmp_path):
     assert m.names == ["f"]
 
 
+@pytest.mark.parametrize("which", ["indices", "scores"])
+def test_load_feature_matrix_names_a_file_that_is_not_utf8(tmp_path, which):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("indices", "scores")}
+    paths["indices"].write_bytes(b"filename,f\na,1\nb,2\nc,3\n")
+    paths["scores"].write_bytes(b"filename,score\na,1\nb,2\nc,3\n")
+    paths[which].write_bytes(paths[which].read_bytes().replace(b"b,2", b"b,\xff"))
+    with pytest.raises(ValueError) as info:
+        load_feature_matrix(paths["indices"], paths["scores"])
+    assert str(info.value).startswith(f"{paths[which]}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_load_feature_matrix_composite(tmp_path):
     idx = tmp_path / "i.csv"
     sc = tmp_path / "s.csv"
