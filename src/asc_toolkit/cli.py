@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import importlib.util
 import math
 import os
@@ -117,12 +118,13 @@ def resolve_source(source: str) -> Path:
 def discover_files(root: Path, recursive: bool) -> list[tuple[str, Path]]:
     """(key, path) pairs sorted by key; key is the posix path relative to root.
 
-    A root that is not a directory, or that holds no .conllu file, is a ValueError.
+    Only files count: a directory named *.conllu is passed over.  A root that
+    is not a directory, or that holds no .conllu file, is a ValueError.
     """
     if not root.is_dir():
         raise ValueError(f"{root} is not a directory")
     pattern = "**/*.conllu" if recursive else "*.conllu"
-    pairs = [(p.relative_to(root).as_posix(), p) for p in root.glob(pattern)]
+    pairs = [(p.relative_to(root).as_posix(), p) for p in root.glob(pattern) if p.is_file()]
     if not pairs:
         raise ValueError(f"no .conllu files found in {root}")
     return sorted(pairs)
@@ -287,6 +289,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
         argv.insert(0, "analyze")
+    # Nothing a command builds holds a reference cycle, so reference counting
+    # frees all of it, and the cyclic collector's passes over each parsed
+    # document find nothing.  It is off for the command (forked --jobs
+    # workers inherit that) and back on after only if it was on before.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -296,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConlluError, NormTableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

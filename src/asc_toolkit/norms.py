@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .ingest import Document
-from .tagger import ASC_TYPES, debug_lines, tag_document
+from .tagger import ASC_TYPES, AscToken, debug_lines, tag_document
 
 # Format version written to norm files; loaders accept the same major version.
 NORM_FORMAT_VERSION = "1.0.0"
@@ -98,8 +98,7 @@ def build_norms(
     pair_counts: Counter[tuple[str, str]] = Counter()
     for doc in documents:
         tags = tag_document(doc)
-        for tag in tags:
-            pair_counts[tag.pair()] += 1
+        pair_counts.update(map(AscToken.pair, tags))
         if debug is not None:
             for line in debug_lines(tags):
                 debug.write(line + "\n")

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import shutil
@@ -411,6 +412,107 @@ def test_build_norms_empty_dir_aborts(tmp_path, capsys):
     rc = cli.main(["build-norms", "--corpus-dir", str(inp), "--out", str(tmp_path / "n.tsv")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: no .conllu files found in {inp}\n"
+
+
+def test_directories_named_conllu_are_not_texts(frames_dir, tmp_path, capsys):
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr"])
+    (inp / "sub.conllu").mkdir()
+    rc = cli.main(
+        ["analyze", "--input-dir", str(inp), "--output-csv", str(tmp_path / "o.csv"),
+         "--source", "demo"]
+    )
+    assert rc == 0
+    assert "analyzed 1 of 1 files, 0 warnings" in capsys.readouterr().err
+    assert cli.main(["build-norms", "--corpus-dir", str(inp), "--out", str(tmp_path / "n.tsv")]) == 0
+    assert load_norms(tmp_path / "n.tsv").pair_counts == {("ATTR", "be"): 3}  # attr.conllu's
+
+    # Searched recursively, a file inside such a directory is still a text.
+    shutil.copy(frames_dir / "ditran.conllu", inp / "sub.conllu" / "ditran.conllu")
+    assert [key for key, _ in cli.discover_files(inp, recursive=True)] == [
+        "attr.conllu", "sub.conllu/ditran.conllu"
+    ]
+
+    only_dirs = tmp_path / "only_dirs"
+    (only_dirs / "a.conllu").mkdir(parents=True)
+    for command, dir_flag, out_flag in (
+        ("analyze", "--input-dir", "--output-csv"),
+        ("build-norms", "--corpus-dir", "--out"),
+    ):
+        argv = [command, dir_flag, str(only_dirs), out_flag, str(tmp_path / "x")]
+        rc = cli.main(argv + (["--source", "demo"] if command == "analyze" else []))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: no .conllu files found in {only_dirs}\n"
+
+
+def _unreachable_after(argv):
+    """Objects the cyclic collector frees after a successful main(argv) run with it off."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_commands_leave_no_cyclic_garbage_per_input(frames_dir, tmp_path, capsys):
+    # main runs with the collector off; that is safe only while what a command
+    # builds is freed by reference counting, so a run over more input, or
+    # over a file that fails to parse, may leave no more unreachable objects.
+    stems = sorted(p.stem for p in frames_dir.glob("*.conllu"))
+    one = copy_frames(frames_dir, tmp_path / "one", stems[:1])
+    many = tmp_path / "many"
+    for i in range(4):
+        copy_frames(frames_dir, many / f"copy{i}", stems)
+    failing = copy_frames(frames_dir, tmp_path / "failing", stems[:1])
+    (failing / "z_bad.conllu").write_text("1\tHe\the\n", encoding="utf-8")
+
+    def analyze(inp):
+        return ["analyze", "--input-dir", str(inp), "--output-csv", str(tmp_path / "o.csv"),
+                "--source", "demo", "--recursive", "--debug-tags", str(tmp_path / "t.tsv")]
+
+    def build_norms(inp):
+        return ["build-norms", "--corpus-dir", str(inp), "--out", str(tmp_path / "n.tsv"),
+                "--recursive"]
+
+    baseline = _unreachable_after(analyze(one))
+    assert _unreachable_after(analyze(many)) == baseline
+    assert _unreachable_after(analyze(failing)) == baseline
+    assert "z_bad.conllu: line 1" in capsys.readouterr().err
+    assert _unreachable_after(build_norms(one)) == baseline
+    assert _unreachable_after(build_norms(many)) == baseline
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("want_rc", [0, 1, 2], ids=["ok", "usage-error", "data-error"])
+def test_main_leaves_the_collector_as_it_found_it(
+    frames_dir, tmp_path, monkeypatch, enabled, want_rc
+):
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr"])
+    argv = ["analyze", "--input-dir", str(inp), "--output-csv", str(tmp_path / "o.csv"),
+            "--source", "demo"]
+    if want_rc == 1:
+        argv += ["--jobs", "0"]
+    elif want_rc == 2:
+        argv[2] = str(tmp_path / "nope")
+    seen_during = []
+    real = cli.discover_files
+
+    def recording(*args):
+        seen_during.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "discover_files", recording)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = cli.main(argv)
+        assert (rc, gc.isenabled()) == (want_rc, enabled)
+        assert seen_during == ([] if want_rc == 1 else [False])
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_build_norms_debug_stream_matches_table(frames_dir, tmp_path):
