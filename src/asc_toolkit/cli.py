@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import importlib.util
 import math
@@ -130,8 +131,9 @@ def discover_files(root: Path, recursive: bool) -> list[tuple[str, Path]]:
     return sorted(pairs)
 
 
-def _analyze_one(path: Path, key: str, norm: NormTable, cfg: IndexConfig, want_debug: bool):
+def _analyze_one(norm: NormTable, cfg: IndexConfig, want_debug: bool, item: tuple[str, Path]):
     """(CSV row, None, debug lines) for a readable file; (None, warning, []) otherwise."""
+    key, path = item
     try:
         doc = parse_conllu_file(path, key)
     except ConlluError as exc:
@@ -141,18 +143,6 @@ def _analyze_one(path: Path, key: str, norm: NormTable, cfg: IndexConfig, want_d
     cells = (values[name] for name in INDEX_NAMES)
     row = [key, *("" if v is None else "%.6g" % v for v in cells)]
     return row, None, list(debug_lines(tags)) if want_debug else []
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(norm: NormTable, cfg: IndexConfig, want_debug: bool) -> None:
-    _WORKER_STATE.update(norm=norm, cfg=cfg, want_debug=want_debug)
-
-
-def _worker_task(item: tuple[str, Path]):
-    key, path = item
-    return _analyze_one(path, key, **_WORKER_STATE)
 
 
 @contextmanager
@@ -202,25 +192,22 @@ def cmd_analyze(args) -> int:
     want_debug = args.debug_tags is not None
     out_path = Path(args.output_csv)
 
+    task = functools.partial(_analyze_one, norm, cfg, want_debug)
     warnings: list[str] = []
     with ExitStack() as stack:
         out = stack.enter_context(_replace_on_success(out_path))
         debug = stack.enter_context(_replace_on_success(args.debug_tags))
         # Results arrive in file order, which discover_files sorted by key.
         if jobs == 1:
-            results = (_analyze_one(path, key, norm, cfg, want_debug) for key, path in files)
+            results = map(task, files)
         else:
             # Imported here: multiprocessing adds tens of milliseconds to start-up.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(
-                ProcessPoolExecutor(
-                    max_workers=jobs,
-                    initializer=_init_worker,
-                    initargs=(norm, cfg, want_debug),
-                )
-            )
-            results = pool.map(_worker_task, files)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # About four chunks per worker: the chunk count sets the round trips,
+            # and a slow chunk does not leave the other workers idle for long.
+            results = pool.map(task, files, chunksize=max(1, len(files) // (4 * jobs)))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["filename", *INDEX_NAMES])
         for row, warning, lines in results:
@@ -230,8 +217,11 @@ def cmd_analyze(args) -> int:
             writer.writerow(row)
             for line in lines:
                 debug.write(line + "\n")
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        if len(warnings) == len(files):
+            # Raised inside the block, so the outputs keep what they held before.
+            raise ValueError("no file could be analyzed")
     print(
         f"analyzed {len(files) - len(warnings)} of {len(files)} files, "
         f"{len(warnings)} warnings -> {out_path}",

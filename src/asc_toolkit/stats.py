@@ -593,7 +593,7 @@ def _header(reader, path: str | Path, kind: str) -> list[str]:
     """The column names of a CSV, which must include JOIN_COLUMN and repeat none."""
     names = next(reader, None)
     if names is None or JOIN_COLUMN not in names:
-        raise ValueError(f"{kind} CSV lacks a {JOIN_COLUMN!r} column")
+        raise ValueError(f"{path}: {kind} CSV lacks a {JOIN_COLUMN!r} column")
     for i, name in enumerate(names):
         if name in names[:i]:
             raise _csv_error(path, reader.line_num, name, "duplicate column")
@@ -663,7 +663,7 @@ def load_feature_matrix(
         wanted = composite_of if composite_of else [score_column]
         missing = [c for c in wanted if c not in header]
         if missing:
-            raise ValueError(f"scores CSV lacks column(s): {', '.join(missing)}")
+            raise ValueError(f"{scores_csv}: scores CSV lacks column(s): {', '.join(missing)}")
         wanted_at = [header.index(c) for c in wanted]
         for line, key, row in _keyed_rows(reader, scores_csv, header):
             try:

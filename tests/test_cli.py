@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import corpusgen
 from asc_toolkit import cli
 from asc_toolkit.indices import INDEX_NAMES, IndexConfig, compute_all
 from asc_toolkit.ingest import parse_conllu_file
@@ -156,24 +157,83 @@ def test_analyze_jobs_parallel_identical(frames_dir, tmp_path, capsys):
     assert b"bad.conllu" not in csv_bytes and b"bad.conllu" not in dbg_bytes
 
 
-def test_analyze_forks_no_more_workers_than_files(frames_dir, tmp_path, monkeypatch):
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The max_workers of each ProcessPoolExecutor analyze makes, and the chunksize of each map."""
     import concurrent.futures
 
-    real = concurrent.futures.ProcessPoolExecutor
-    asked = []
+    asked = {"workers": [], "chunksize": []}
 
-    def recording(max_workers=None, **kwargs):
-        asked.append(max_workers)
-        return real(max_workers=max_workers, **kwargs)
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked["workers"].append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            asked["chunksize"].append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return asked
+
+
+def test_analyze_forks_no_more_workers_than_files(frames_dir, tmp_path, recorded_pools):
     inp = copy_frames(frames_dir, tmp_path / "in", ["attr", "ditran"])
     base = ["analyze", "--input-dir", str(inp), "--source", "demo"]
     assert cli.main(base + ["--output-csv", str(tmp_path / "j8.csv"), "--jobs", "8"]) == 0
-    assert asked == [2]
+    assert recorded_pools == {"workers": [2], "chunksize": [1]}
     assert cli.main(base + ["--output-csv", str(tmp_path / "j1.csv"), "--jobs", "1"]) == 0
-    assert asked == [2]
+    assert recorded_pools == {"workers": [2], "chunksize": [1]}
     assert (tmp_path / "j8.csv").read_bytes() == (tmp_path / "j1.csv").read_bytes()
+
+
+def test_analyze_failing_files_inside_chunks_keep_file_order(tmp_path, capsys, recorded_pools):
+    # 36 files give chunks of 4 with --jobs 2 and of 3 with --jobs 3; the two
+    # bad files, at sorted positions 13 and 22 from 0, sit inside a chunk in both.
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for i in range(36):
+        text = corpusgen.make_diverse_text(seed=i, n_sentences=2 + i % 5, diversity=i % 11 / 10)
+        (inp / f"text{i:02d}.conllu").write_text(text, encoding="utf-8")
+    (inp / "text13.conllu").write_bytes(b"\xff\xfe\x00bad")
+    (inp / "text22.conllu").write_text("1\tx\tx\n", encoding="utf-8")
+    base = ["analyze", "--input-dir", str(inp), "--source", "demo"]
+    outputs = {}
+    for jobs in ("1", "2", "3"):
+        csv_path, dbg_path = tmp_path / f"o{jobs}.csv", tmp_path / f"t{jobs}.tsv"
+        args = ["--output-csv", str(csv_path), "--debug-tags", str(dbg_path), "--jobs", jobs]
+        assert cli.main(base + args) == 0
+        *warnings, summary = capsys.readouterr().err.splitlines()
+        assert [w.split(": ")[:2] for w in warnings] == [
+            ["warning", "text13.conllu"], ["warning", "text22.conllu"]
+        ]
+        assert summary.startswith("analyzed 34 of 36 files, 2 warnings")
+        outputs[jobs] = (csv_path.read_bytes(), dbg_path.read_bytes(), warnings)
+    assert recorded_pools == {"workers": [2, 3], "chunksize": [4, 3]}
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+    names = [line.split(",")[0] for line in outputs["1"][0].decode().splitlines()[1:]]
+    assert names == [f"text{i:02d}.conllu" for i in range(36) if i not in (13, 22)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analyze_with_no_file_analyzed_is_a_data_error(tmp_path, capsys, jobs):
+    inp = tmp_path / "in"
+    inp.mkdir()
+    (inp / "a.conllu").write_bytes(b"\xff\xfe\x00bad")
+    (inp / "b.conllu").write_text("1\tx\tx\n", encoding="utf-8")
+    out, dbg = tmp_path / "out.csv", tmp_path / "tags.tsv"
+    out.write_text("old csv\n", encoding="utf-8")
+    rc = cli.main(
+        ["analyze", "--input-dir", str(inp), "--output-csv", str(out), "--source", "demo",
+         "--debug-tags", str(dbg), "--jobs", jobs]
+    )
+    assert rc == 2
+    *warnings, error = capsys.readouterr().err.splitlines()
+    assert [w.split(": ")[:2] for w in warnings] == [["warning", "a.conllu"], ["warning", "b.conllu"]]
+    assert error == "error: no file could be analyzed"
+    # The outputs keep what they held before: the CSV its text, the debug stream nothing.
+    assert out.read_text(encoding="utf-8") == "old csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "out.csv"]
 
 
 def test_analyze_interrupted_leaves_no_output(frames_dir, tmp_path, monkeypatch):
@@ -816,11 +876,13 @@ sys.exit(cli.main(["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(
         ("indices", 10, "t8,1,2,3", "beta", "4 cells, expected 3"),
         ("scores", 9, "t7", "score", "1 cells, expected 2"),
         ("scores", 10, "t8,16,99", "score", "3 cells, expected 2"),
+        ("indices", 1, "name,alpha,beta", None, "indices CSV lacks a 'filename' column"),
+        ("scores", 1, "filename,grade", None, "scores CSV lacks column(s): score"),
     ],
     ids=[
         "index-nan", "index-inf", "score-inf", "index-text", "score-dup", "index-dup",
         "index-dup-column", "score-dup-column", "index-short-row", "index-long-row",
-        "score-short-row", "score-long-row",
+        "score-short-row", "score-long-row", "index-no-filename-column", "score-no-score-column",
     ],
 )
 def test_stats_rejects_bad_csv_naming_file_line_column(
@@ -839,7 +901,9 @@ def test_stats_rejects_bad_csv_naming_file_line_column(
          "--report", str(tmp_path / "r.txt")]
     )
     assert rc == 2
-    want = f"{paths[which]}: line {lineno}, column {column!r}: {problem}"
+    # A header that lacks a column is named by its file alone.
+    where = "" if column is None else f"line {lineno}, column {column!r}: "
+    want = f"{paths[which]}: {where}{problem}"
     assert want in capsys.readouterr().err
 
 
