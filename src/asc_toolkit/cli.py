@@ -27,7 +27,7 @@ from typing import Iterator, TextIO
 from .indices import INDEX_NAMES, IndexConfig, compute_from_tags
 from .ingest import ConlluError, parse_conllu_file
 from .norms import NormTable, NormTableError, build_norms, load_norms, save_norms
-from .stats import format_report, load_feature_matrix, run_pipeline
+from .stats import JOIN_COLUMN, format_report, load_feature_matrix, run_pipeline
 from .tagger import debug_lines, tag_document
 
 EXIT_OK = 0
@@ -145,6 +145,23 @@ def _analyze_one(norm: NormTable, cfg: IndexConfig, want_debug: bool, item: tupl
     return row, None, list(debug_lines(tags)) if want_debug else []
 
 
+def _check_distinct_outputs(flag: str, path: str, debug_tags: str | None) -> None:
+    """A usage error if path and --debug-tags are one regular file, existing or not.
+
+    Each output is written beside its destination and replaces it, so one
+    would overwrite the other.  Other shared destinations, /dev/null say,
+    are written directly and stay allowed.
+    """
+    if debug_tags is None:
+        return
+    # realpath, unlike Path.resolve, returns a path for a symlink loop too.
+    resolved = os.path.realpath(path)
+    if resolved == os.path.realpath(debug_tags) and (
+        os.path.isfile(resolved) or not os.path.lexists(resolved)
+    ):
+        raise UsageError(f"{flag} and --debug-tags name the same file: {path}")
+
+
 @contextmanager
 def _replace_on_success(path: str | Path | None) -> Iterator[TextIO | None]:
     """Write a file beside path that replaces it only if the block completes.
@@ -185,6 +202,7 @@ def cmd_analyze(args) -> int:
         cfg = IndexConfig(window=args.window, min_ref_freq=args.min_ref_freq)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_distinct_outputs("--output-csv", args.output_csv, args.debug_tags)
     files = discover_files(Path(args.input_dir), args.recursive)
     # Each worker forked holds a copy of the norm table: no more of them than files.
     jobs = min(args.jobs, len(files))
@@ -209,7 +227,7 @@ def cmd_analyze(args) -> int:
             # and a slow chunk does not leave the other workers idle for long.
             results = pool.map(task, files, chunksize=max(1, len(files) // (4 * jobs)))
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["filename", *INDEX_NAMES])
+        writer.writerow([JOIN_COLUMN, *INDEX_NAMES])
         for row, warning, lines in results:
             if warning is not None:
                 warnings.append(warning)
@@ -234,6 +252,7 @@ def cmd_build_norms(args) -> int:
     # load_norms reads the label back from a one-line #source header.
     if args.label is not None and ("\n" in args.label or "\r" in args.label):
         raise UsageError(f"--label must not hold a line break, got {args.label!r}")
+    _check_distinct_outputs("--out", args.out, args.debug_tags)
     corpus_dir = Path(args.corpus_dir)
     files = discover_files(corpus_dir, args.recursive)
     documents = (parse_conllu_file(path, key) for key, path in files)
@@ -291,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConlluError, NormTableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConlluError and NormTableError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -203,7 +203,7 @@ def soa_indices(pairs: Sequence[tuple[str, str]], norm: NormTable) -> IndexVecto
 def compute_from_tags(
     tags: Sequence[AscToken], norm: NormTable, cfg: IndexConfig | None = None
 ) -> IndexVector:
-    """Fill the full canonical index vector from an already-tagged token list."""
+    """Fill the full canonical index vector, keyed in INDEX_NAMES order, from tagged tokens."""
     if cfg is None:
         cfg = IndexConfig()
     types = [t.asc_type for t in tags]
@@ -213,7 +213,7 @@ def compute_from_tags(
     values["ascAvFreq"] = frequency_index(types, norm.type_counts, cfg.min_ref_freq)
     values["ascLemmaAvFreq"] = frequency_index(pairs, norm.pair_counts, cfg.min_ref_freq)
     values.update(soa_indices(pairs, norm))
-    return {name: values[name] for name in INDEX_NAMES}
+    return values
 
 
 def compute_all(doc: Document, norm: NormTable, cfg: IndexConfig | None = None) -> IndexVector:

@@ -15,13 +15,11 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-# Word ids and heads up to 1023 are read through this table.  Any other is
-# checked with str.isdecimal(), which accepts exactly the characters \d
-# matches, and read with int(); the two patterns are tried only on a
-# non-decimal id.
+# Word ids and heads up to 1023 are read through this table, any other by
+# _field_int.  An id outside it that _SKIPPED_ID matches whole, a multiword
+# range ("3-4") or an empty node ("3.1"), is skipped.
 _SMALL_INTS = {str(i): i for i in range(1024)}
-_RANGE_ID = re.compile(r"^\d+-\d+$")
-_EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
+_SKIPPED_ID = re.compile(r"\d+[-.]\d+")
 
 
 class ConlluError(ValueError):
@@ -119,26 +117,25 @@ def parse_conllu(text: str, source_id: str = "<stream>") -> Document:
         tok_id, form, lemma, upos, _, _, head, deprel, _, _ = fields
         word_id = _SMALL_INTS.get(tok_id)
         if word_id is None:
-            if not tok_id.isdecimal():
-                if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
-                    continue
-                raise ConlluError(
-                    f"line {lineno}: malformed token line (non-integer id {tok_id!r})"
-                )
-            word_id = int(tok_id)
+            if _SKIPPED_ID.fullmatch(tok_id):
+                continue
+            word_id = _field_int(tok_id, "id", lineno)
         head_id = _SMALL_INTS.get(head)
         if head_id is None:
-            if not head.isdecimal():
-                raise ConlluError(
-                    f"line {lineno}: malformed token line (non-integer head {head!r})"
-                )
-            head_id = int(head)
+            head_id = _field_int(head, "head", lineno)
         if word_id != len(current) + 1:
             raise ConlluError(f"line {lineno}: word id {word_id}, expected {len(current) + 1}")
         current.append((word_id, form, lemma, upos, head_id, deprel))
     if current:
         sentences.append(_finish_sentence(current, len(sentences)))
     return Document(source_id=source_id, sentences=sentences)
+
+
+def _field_int(text: str, column: str, lineno: int) -> int:
+    """A word id or head cell as an int; it must be decimal digits, each of which int() reads."""
+    if not text.isdecimal():
+        raise ConlluError(f"line {lineno}: malformed token line (non-integer {column} {text!r})")
+    return int(text)
 
 
 def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Document:

@@ -373,18 +373,14 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
             m = h | t << lead
             scored[m] = aic(n, float(rss[t]), m.bit_count())
 
-    by_subset = {tuple(j for j in range(k) if m >> j & 1): v for m, v in scored.items()}
-    best_subset = min(by_subset, key=lambda s: (by_subset[s], len(s), s))
-    best_aic = by_subset[best_subset]
-    within = sorted(
-        ((s, v) for s, v in by_subset.items() if v - best_aic < AIC_DELTA),
-        key=lambda item: (item[1], len(item[0]), item[0]),
-    )
-    to_names = lambda s: tuple(names[j] for j in s)
+    # Ranked by AIC, then size, then column positions: the first is the best.
+    ranked = sorted((v, m.bit_count(), [j for j in range(k) if m >> j & 1]) for m, v in scored.items())
+    best_aic = ranked[0][0]
+    candidates = [(tuple(names[j] for j in s), v) for v, _, s in ranked if v - best_aic < AIC_DELTA]
     return AicSelection(
-        best=to_names(best_subset),
+        best=candidates[0][0],
         best_aic=best_aic,
-        candidates=[(to_names(s), v) for s, v in within],
+        candidates=candidates,
         n_obs=n,
         n_models=1 << k,
     )
@@ -590,8 +586,12 @@ def _csv_rows(path: str | Path) -> Iterator:
 
 
 def _header(reader, path: str | Path, kind: str) -> list[str]:
-    """The column names of a CSV, which must include JOIN_COLUMN and repeat none."""
-    names = next(reader, None)
+    """The column names of a CSV, which must include JOIN_COLUMN and repeat none.
+
+    They are the first row that is not blank; reader.line_num still counts
+    the blank lines before it.
+    """
+    names = next(filter(None, reader), None)
     if names is None or JOIN_COLUMN not in names:
         raise ValueError(f"{path}: {kind} CSV lacks a {JOIN_COLUMN!r} column")
     for i, name in enumerate(names):

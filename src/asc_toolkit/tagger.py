@@ -67,6 +67,14 @@ def normalize_deprel(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
+def _first_copula(deps: list[Row]) -> Row | None:
+    """The first row of deps, in word order, whose base relation is cop, or None."""
+    for d in deps:
+        if normalize_deprel(d[5]) == "cop":
+            return d
+    return None
+
+
 def tag_sentence(sentence: Sentence, sentence_index: int = 0, source_id: str = "") -> list[AscToken]:
     """Tag every qualifying predicate in one sentence, in word-id order.
 
@@ -78,22 +86,15 @@ def tag_sentence(sentence: Sentence, sentence_index: int = 0, source_id: str = "
     tags: list[AscToken] = []
     dep_rows = sentence.dep_rows
     for row in sentence.rows:
-        # A word without dependents fits no frame.
+        # A word without dependents fits no frame, nor does a non-candidate.
         deps = dep_rows[row[0]]
-        if deps is None:
+        if deps is None or (row[3] != "VERB" and _first_copula(deps) is None):
             continue
-        rels = {normalize_deprel(d[5]) for d in deps}
-        if row[3] != "VERB" and "cop" not in rels:
-            continue
-        asc_type = _classify(rels, deps)
+        asc_type = _classify({normalize_deprel(d[5]) for d in deps}, deps)
         if asc_type is None:
             continue
-        if asc_type == "ATTR":
-            # deps is in word order, so this is the first copula.
-            cop = next(d for d in deps if normalize_deprel(d[5]) == "cop")
-            lemma = cop[2].lower()
-        else:
-            lemma = row[2].lower()
+        # An ATTR tag is anchored on its copula, every other tag on its predicate.
+        lemma = (_first_copula(deps) if asc_type == "ATTR" else row)[2].lower()
         if not lemma:
             continue
         tags.append(AscToken(asc_type, row[0], lemma, sentence_index, source_id))

@@ -295,6 +295,39 @@ def test_analyze_recursive(frames_dir, tmp_path):
     assert read_csv_lines(out)[1].startswith("sub/attr.conllu")
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+@pytest.mark.parametrize("command", ["analyze", "build-norms"])
+def test_two_outputs_naming_one_file_is_a_usage_error(frames_dir, tmp_path, capsys, command, existing):
+    target = tmp_path / "X"
+    if existing:
+        target.write_bytes(b"old bytes\n")
+    # The second spelling reaches X through a link to its directory.
+    (tmp_path / "link").symlink_to(tmp_path)
+    flag = "--output-csv" if command == "analyze" else "--out"
+    if command == "analyze":
+        argv = ["analyze", "--input-dir", str(frames_dir), "--source", "demo"]
+    else:
+        argv = ["build-norms", "--corpus-dir", str(frames_dir)]
+    rc = cli.main(argv + [flag, str(target), "--debug-tags", str(tmp_path / "link" / "X")])
+    assert rc == 1
+    want = f"usage error: {flag} and --debug-tags name the same file: {target}"
+    assert capsys.readouterr().err.splitlines() == [want]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["X", "link"] if existing else ["link"])
+    if existing:
+        assert target.read_bytes() == b"old bytes\n"
+    # A shared destination that is not a regular file is written directly.
+    assert cli.main(argv + [flag, os.devnull, "--debug-tags", os.devnull]) == 0
+
+
+def test_output_through_a_symlink_loop_is_a_data_error(frames_dir, tmp_path, capsys):
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    rc = cli.main(["analyze", "--input-dir", str(frames_dir), "--source", "demo",
+                   "--output-csv", str(tmp_path / "a"), "--debug-tags", str(tmp_path / "t")])
+    assert rc == 2
+    assert "Too many levels of symbolic links" in capsys.readouterr().err
+
+
 def test_analyze_debug_tags_stream(frames_dir, tmp_path):
     inp = copy_frames(frames_dir, tmp_path / "in", ["ditran"])
     out = tmp_path / "out.csv"
@@ -948,6 +981,40 @@ def test_stats_skips_blank_lines_and_counts_them_in_line_numbers(tmp_path, capsy
     assert rc == 2
     want = f"{paths['indices']}: line 17, column 'filename': duplicate 't0' (first at line 3)"
     assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["indices", "scores"])
+def test_stats_skips_blank_lines_before_the_header(tmp_path, capsys, which):
+    lines = {
+        "indices": ["filename,alpha,beta"] + [f"t{i},{i},{i % 3}" for i in range(12)],
+        "scores": ["filename,score"] + [f"t{i},{2 * i + i % 5}" for i in range(12)],
+    }
+
+    def run(**changed):
+        texts = {name: "\n".join(changed.get(name, rows)) + "\n" for name, rows in lines.items()}
+        return run_stats(tmp_path, texts["indices"], texts["scores"])
+
+    rc, _, report = run()
+    assert rc == 0
+    want = report.read_text(encoding="utf-8")
+    blank_first = ["", ""] + lines[which]
+    rc, _, report = run(**{which: blank_first})
+    assert rc == 0
+    assert report.read_text(encoding="utf-8") == want
+    # Lines are still counted from the top of the file: the header is line 3
+    # and t5 line 9.
+    bad_row, column, problem = {
+        "indices": ("t5,x,2", "alpha", "non-numeric value 'x'"),
+        "scores": ("t5,inf", "score", "non-finite value 'inf'"),
+    }[which]
+    for lineno, column, problem, changed in [
+        (9, column, problem, blank_first[:8] + [bad_row] + blank_first[9:]),
+        (3, "filename", "duplicate column", ["", "", lines[which][0] + ",filename"] + blank_first[3:]),
+    ]:
+        rc, paths, _ = run(**{which: changed})
+        assert rc == 2
+        want_error = f"{paths[which]}: line {lineno}, column {column!r}: {problem}"
+        assert want_error in capsys.readouterr().err
 
 
 def test_stats_header_only_indices_csv_joins_no_row(tmp_path, capsys):

@@ -373,6 +373,17 @@ def test_compute_all_empty_document():
     assert all(v is None for v in out.values())
 
 
+def test_compute_from_tags_keys_come_in_index_name_order():
+    # Four types present and five absent, so both branches of each family fill keys.
+    tags = make_tags(
+        [("TRAN_S", "eat"), ("DITRAN", "give"), ("TRAN_S", "see"), ("ATTR", "be"),
+         ("INTRAN_S", "run"), ("DITRAN", "give")] * 3
+    )
+    out = compute_from_tags(tags, four_pair_norm())
+    assert list(out) == list(INDEX_NAMES)
+    assert out["TRAN_S_AvMI"] is not None and out["PASSIVE_AvMI"] is None
+
+
 def test_compute_all_single_ditran(tmp_path):
     text = (
         "1\tShe\tshe\tPRON\t_\t_\t2\tnsubj\t_\t_\n"

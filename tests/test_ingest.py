@@ -60,6 +60,20 @@ def test_ranges_and_empty_nodes_skipped():
     assert [t.form for t in doc.sentences[0].tokens] == ["do", "n't", "go"]
 
 
+SKIPPED_IDS = ["1-2", "10-11", "2.1", "12.1"]
+
+
+@pytest.mark.parametrize("tok_id", SKIPPED_IDS + ["3-", "3..1", "3-4-5", "1e3", "-1", "1.", ".1"])
+def test_only_a_whole_range_or_empty_node_id_is_skipped(tok_id):
+    text = f"{tok_id}\tx\tx\tX\t_\t_\t_\t_\t_\t_\n" + BARKED
+    if tok_id in SKIPPED_IDS:
+        assert parse_conllu(text).sentences[0].tokens == parse_conllu(BARKED).sentences[0].tokens
+    else:
+        with pytest.raises(ConlluError) as info:
+            parse_conllu(text)
+        assert str(info.value) == f"line 1: malformed token line (non-integer id {tok_id!r})"
+
+
 def test_comments_and_crlf():
     text = "# sent_id = 1\r\n" + BARKED.replace("\n", "\r\n")
     doc = parse_conllu(text)

@@ -64,8 +64,28 @@ def test_attributive_uses_copula_lemma():
 
 
 def test_no_verb_no_cop():
-    text = "1\tNice\tnice\tADJ\t_\t_\t2\tamod\t_\t_\n2\tweather\tweather\tNOUN\t_\t_\t0\troot\t_\t_\n"
+    # A NOUN whose only dependents are det and amod is no candidate.
+    text = (
+        "1\tThe\tthe\tDET\t_\t_\t3\tdet\t_\t_\n"
+        "2\tnice\tnice\tADJ\t_\t_\t3\tamod\t_\t_\n"
+        "3\tweather\tweather\tNOUN\t_\t_\t0\troot\t_\t_\n"
+    )
     assert tag_sentence(first_sentence(text)) == []
+
+
+@pytest.mark.parametrize("copulas", [["cop:x"], ["cop", "cop"], ["cop:x", "cop"], ["cop", "cop:x"]])
+def test_attr_is_anchored_on_the_first_copula_of_any_subtype(copulas):
+    # The frame-table oracle draws no cop: subtype (see
+    # test_frame_table_oracle_draws_no_copula_subtype), so these cases stand for it.
+    head = len(copulas) + 2
+    lines = [f"1\tShe\tshe\tPRON\t_\t_\t{head}\tnsubj\t_\t_\n"]
+    lines += [
+        f"{i}\tw\t{lemma}\tAUX\t_\t_\t{head}\t{rel}\t_\t_\n"
+        for i, (rel, lemma) in enumerate(zip(copulas, ["Seem", "be"]), start=2)
+    ]
+    lines.append(f"{head}\thappy\thappy\tADJ\t_\t_\t0\troot\t_\t_\n")
+    tags = tag_sentence(first_sentence("".join(lines)))
+    assert [(t.asc_type, t.verb_token_id, t.verb_lemma) for t in tags] == [("ATTR", head, "seem")]
 
 
 def test_subjectless_imperative_skipped():
@@ -482,6 +502,14 @@ def test_drawn_trees_analyze_the_same_with_one_and_two_jobs(tmp_path, capsys):
         outputs[jobs] = (csv_path.read_bytes(), tags_path.read_bytes())
     assert outputs["1"] == outputs["2"]
     assert len(outputs["1"][0].decode().splitlines()) == 9
+
+
+def test_frame_table_oracle_draws_no_copula_subtype():
+    # So a cop: subtype reaches the tagger only through the hand-written
+    # cases above.
+    drawn = set(UD_RELATIONS) | set(FRAME_RELATIONS) | {rel for rel, _, _ in COMBINED_DEPENDENTS}
+    assert "cop" in drawn
+    assert not [rel for rel in drawn if rel.startswith("cop:")]
 
 
 # Every combination of these dependents on one predicate, VERB or ADJ: the
