@@ -18,11 +18,12 @@ import gc
 import importlib.util
 import math
 import os
+import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Container, Iterator, TextIO
 
 from .indices import INDEX_NAMES, IndexConfig, compute_from_tags
 from .ingest import ConlluError, parse_conllu_file
@@ -35,6 +36,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 _COMMANDS = ("analyze", "build-norms", "stats")
+
+# A file's (device, inode): two paths with one FileId name one file.
+FileId = tuple[int, int]
 
 
 class UsageError(Exception):
@@ -116,19 +120,21 @@ def resolve_source(source: str) -> Path:
     )
 
 
-def discover_files(root: Path, recursive: bool) -> list[tuple[str, Path]]:
-    """(key, path) pairs sorted by key; key is the posix path relative to root.
+def discover_files(root: Path, recursive: bool) -> tuple[list[tuple[str, Path]], set[FileId]]:
+    """(key, path) pairs sorted by key, and the _file_id of each path.
 
-    Only files count: a directory named *.conllu is passed over.  A root that
-    is not a directory, or that holds no .conllu file, is a ValueError.
+    A key is the posix path relative to root.  Only files count: a directory
+    named *.conllu is passed over.  A root that is not a directory, or that
+    holds no .conllu file, is a ValueError.
     """
     if not root.is_dir():
         raise ValueError(f"{root} is not a directory")
     pattern = "**/*.conllu" if recursive else "*.conllu"
-    pairs = [(p.relative_to(root).as_posix(), p) for p in root.glob(pattern) if p.is_file()]
+    ids = {p: _file_id(p) for p in root.glob(pattern)}
+    pairs = sorted((p.relative_to(root).as_posix(), p) for p, fid in ids.items() if fid)
     if not pairs:
         raise ValueError(f"no .conllu files found in {root}")
-    return sorted(pairs)
+    return pairs, {fid for fid in ids.values() if fid}
 
 
 def _analyze_one(norm: NormTable, cfg: IndexConfig, want_debug: bool, item: tuple[str, Path]):
@@ -139,27 +145,44 @@ def _analyze_one(norm: NormTable, cfg: IndexConfig, want_debug: bool, item: tupl
     except ConlluError as exc:
         return None, str(exc), []
     tags = tag_document(doc)
-    values = compute_from_tags(tags, norm, cfg)
-    cells = (values[name] for name in INDEX_NAMES)
-    row = [key, *("" if v is None else "%.6g" % v for v in cells)]
+    values = compute_from_tags(tags, norm, cfg).values()  # in INDEX_NAMES order
+    row = [key, *("" if v is None else "%.6g" % v for v in values)]
     return row, None, list(debug_lines(tags)) if want_debug else []
 
 
-def _check_distinct_outputs(flag: str, path: str, debug_tags: str | None) -> None:
-    """A usage error if path and --debug-tags are one regular file, existing or not.
+def _file_id(path: str | Path) -> FileId | None:
+    """(device, inode) of the regular file at path, links followed; None if there is none."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
-    Each output is written beside its destination and replaces it, so one
-    would overwrite the other.  Other shared destinations, /dev/null say,
-    are written directly and stay allowed.
+
+def _check_outputs(outputs: dict[str, str | None], inputs: Container[FileId | None] = ()) -> None:
+    """A usage error if an output names another output or an input file of its command.
+
+    outputs maps each output flag to its path, None if not asked for; inputs
+    holds the _file_id of each input.  An output that is a regular file, or
+    does not exist yet, gets new contents: two such outputs may not share a
+    real path, and an existing one may not be an input.  Other destinations,
+    /dev/null say, are written as they are and stay allowed.
     """
-    if debug_tags is None:
-        return
-    # realpath, unlike Path.resolve, returns a path for a symlink loop too.
-    resolved = os.path.realpath(path)
-    if resolved == os.path.realpath(debug_tags) and (
-        os.path.isfile(resolved) or not os.path.lexists(resolved)
-    ):
-        raise UsageError(f"{flag} and --debug-tags name the same file: {path}")
+    first: dict[str, tuple[str, str]] = {}  # real path -> (flag, path) of the first output there
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        # realpath, unlike Path.resolve, returns a path for a symlink loop too.
+        resolved = os.path.realpath(path)
+        fid = _file_id(resolved)
+        if fid is None and os.path.lexists(resolved):
+            continue
+        if resolved in first:
+            first_flag, first_path = first[resolved]
+            raise UsageError(f"{first_flag} and {flag} name the same file: {first_path}")
+        if fid is not None and fid in inputs:
+            raise UsageError(f"{flag} names an input file: {path}")
+        first[resolved] = flag, path
 
 
 @contextmanager
@@ -202,11 +225,14 @@ def cmd_analyze(args) -> int:
         cfg = IndexConfig(window=args.window, min_ref_freq=args.min_ref_freq)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _check_distinct_outputs("--output-csv", args.output_csv, args.debug_tags)
-    files = discover_files(Path(args.input_dir), args.recursive)
+    outputs = {"--output-csv": args.output_csv, "--debug-tags": args.debug_tags}
+    _check_outputs(outputs)
+    files, text_ids = discover_files(Path(args.input_dir), args.recursive)
     # Each worker forked holds a copy of the norm table: no more of them than files.
     jobs = min(args.jobs, len(files))
-    norm = load_norms(resolve_source(args.source))
+    source = resolve_source(args.source)
+    _check_outputs(outputs, {*text_ids, _file_id(source)})
+    norm = load_norms(source)
     want_debug = args.debug_tags is not None
     out_path = Path(args.output_csv)
 
@@ -252,9 +278,11 @@ def cmd_build_norms(args) -> int:
     # load_norms reads the label back from a one-line #source header.
     if args.label is not None and ("\n" in args.label or "\r" in args.label):
         raise UsageError(f"--label must not hold a line break, got {args.label!r}")
-    _check_distinct_outputs("--out", args.out, args.debug_tags)
+    outputs = {"--out": args.out, "--debug-tags": args.debug_tags}
+    _check_outputs(outputs)
     corpus_dir = Path(args.corpus_dir)
-    files = discover_files(corpus_dir, args.recursive)
+    files, text_ids = discover_files(corpus_dir, args.recursive)
+    _check_outputs(outputs, text_ids)
     documents = (parse_conllu_file(path, key) for key, path in files)
     label = args.label if args.label is not None else corpus_dir.name
     with _replace_on_success(args.debug_tags) as debug:
@@ -275,6 +303,8 @@ def cmd_stats(args) -> int:
         composite = [c.strip() for c in args.composite_of.split(",") if c.strip()]
         if not composite:
             raise UsageError(f"--composite-of names no column: {args.composite_of!r}")
+    inputs = {_file_id(args.indices_csv), _file_id(args.scores_csv)}
+    _check_outputs({"--report": args.report}, inputs)
     # analyze and build-norms run without numpy; stats needs it at every stage.
     # Found, not imported, here: loading it before the CSVs raises peak memory.
     if importlib.util.find_spec("numpy") is None:

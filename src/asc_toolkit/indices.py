@@ -40,6 +40,17 @@ def _build_index_names() -> tuple[str, ...]:
 # Canonical per-text index names, in CSV column order (54 entries).
 INDEX_NAMES: tuple[str, ...] = _build_index_names()
 
+
+def soa_family(name: str) -> str | None:
+    """Family of an association index as _build_index_names spells it:
+    'asc' for ascAv{m}, the type tag for {type}_Av{m}, None for any other name."""
+    for m in SOA_METRICS:
+        if name == f"ascAv{m}":
+            return "asc"
+        if name.endswith(f"_Av{m}"):
+            return name[: -len(m) - 3]
+    return None
+
 # An index vector maps every canonical name to a float or None (missing).
 IndexVector = dict[str, "float | None"]
 
@@ -191,10 +202,8 @@ def soa_indices(pairs: Sequence[tuple[str, str]], norm: NormTable) -> IndexVecto
             typed.append(vals)
     out: IndexVector = {}
     for prefix, group in (("ascAv", rows), *((f"{t}_Av", by_type[t]) for t in ASC_TYPES)):
-        if not group:
-            out.update(dict.fromkeys([prefix + m for m in SOA_METRICS]))
-            continue
-        for m, values in zip(SOA_METRICS, zip(*group)):
+        # An empty group has no values for any metric, so each mean is None.
+        for m, values in zip(SOA_METRICS, zip(*group) if group else repeat(())):
             kept = [v for v in values if v is not None]
             out[prefix + m] = reduce(add, kept, 0.0) / len(kept) if kept else None
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 # Word ids and heads up to 1023 are read through this table, any other by
@@ -99,13 +100,16 @@ def parse_conllu(text: str, source_id: str = "<stream>") -> Document:
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     sentences: list[Sentence] = []
     current: list[Row] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    start = 1  # the line the current sentence's lines begin on
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             if current:
-                sentences.append(_finish_sentence(current, len(sentences)))
+                sentences.append(_finish_sentence(current, lines, start))
                 current = []
+            start = lineno + 1
             continue
         if line[0] == "#":
             continue
@@ -127,7 +131,7 @@ def parse_conllu(text: str, source_id: str = "<stream>") -> Document:
             raise ConlluError(f"line {lineno}: word id {word_id}, expected {len(current) + 1}")
         current.append((word_id, form, lemma, upos, head_id, deprel))
     if current:
-        sentences.append(_finish_sentence(current, len(sentences)))
+        sentences.append(_finish_sentence(current, lines, start))
     return Document(source_id=source_id, sentences=sentences)
 
 
@@ -152,16 +156,20 @@ def parse_conllu_file(path: str | Path, source_id: str | None = None) -> Documen
         raise ConlluError(f"{source_id}: {exc}") from exc
 
 
-def _finish_sentence(rows: list[Row], index: int) -> Sentence:
-    """Validate the head graph of rows with ids 1..n: one root, heads in range, no cycles.
+def _finish_sentence(rows: list[Row], lines: list[str], start: int) -> Sentence:
+    """Validate the head graph of rows with ids 1..n: heads in range, one root, no cycles.
 
-    With one root and every head in range, the graph is a tree exactly when
-    a walk down the dependents from the root reaches every row.
+    lines are the text's lines, and the sentence's begin on line start.  An
+    error names the line of the word at fault: the first whose head names no
+    word, else the second root, else the first word of a sentence with no
+    root, else the first word that a walk down the dependents from the root
+    does not reach.  With one root and every head in range, the graph is a
+    tree exactly when that walk reaches every row.
     """
     n = len(rows)
     dep_rows: list[list[Row] | None] = [None] * (n + 1)
     roots: list[Row] = []
-    missing = None  # the first head in word order that names no word
+    missing = None  # the first row in word order whose head names no word
     for row in rows:
         head = row[4]
         if head == 0:
@@ -173,18 +181,35 @@ def _finish_sentence(rows: list[Row], index: int) -> Sentence:
             else:
                 dependents.append(row)
         elif missing is None:
-            missing = head
-    if not roots:
-        raise ConlluError(f"sentence {index}: headless sentence (no head=0 token)")
-    if len(roots) > 1:
-        raise ConlluError(f"sentence {index}: multiple root tokens")
+            missing = row
     if missing is not None:
-        raise ConlluError(f"sentence {index}: head {missing} points to missing token")
-    reached = roots  # the root, then each row reached from it: grows while walked
-    for row in reached:
-        dependents = dep_rows[row[0]]
-        if dependents:
-            reached += dependents
-    if len(reached) != n:
-        raise ConlluError(f"sentence {index}: cyclic dependency structure")
-    return Sentence(rows, dep_rows)
+        fault, message = missing, f"head {missing[4]} points to missing token"
+    elif len(roots) > 1:
+        fault, message = roots[1], "multiple root tokens"
+    elif not roots:
+        fault, message = rows[0], "headless sentence (no head=0 token)"
+    else:
+        reached = roots  # the root, then each row reached from it: grows while walked
+        for row in reached:
+            dependents = dep_rows[row[0]]
+            if dependents:
+                reached += dependents
+        if len(reached) == n:
+            return Sentence(rows, dep_rows)
+        ids = {row[0] for row in reached}
+        fault = next(row for row in rows if row[0] not in ids)
+        message = "cyclic dependency structure"
+    raise ConlluError(f"line {_word_line(lines, start, fault[0])}: {message}")
+
+
+def _word_line(lines: list[str], start: int, word_id: int) -> int:
+    """The number of the line holding word word_id of the sentence whose lines begin on line start.
+
+    Comments, multiword ranges and empty nodes may sit between its words.
+    """
+    word_lines = (
+        lineno
+        for lineno, line in enumerate(islice(lines, start - 1, None), start)
+        if line[0] != "#" and not _SKIPPED_ID.fullmatch(line.partition("\t")[0])
+    )
+    return next(islice(word_lines, word_id - 1, None))

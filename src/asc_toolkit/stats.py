@@ -17,6 +17,8 @@ from operator import add
 from pathlib import Path
 from typing import Iterator
 
+from .indices import soa_family
+
 # numpy is imported inside each function that uses it, not here: cli imports
 # this module at start-up, and analyze and build-norms never need numpy.
 
@@ -48,8 +50,6 @@ _SWEEP_TOL = 1e-12
 # differ in their last bits; vif_prune counts VIFs within this share of the
 # largest as tied.
 _VIF_TIE = 1e-9
-
-_SOA_SUFFIXES = ("AvMI", "AvT", "AvDeltaPLemma", "AvDeltaPStructure")
 
 # _betainc's continued fraction stops once a step moves it by less than this
 # share.  With one parameter at most 12.5 (d1 <= MAX_CANDIDATES), it takes
@@ -123,16 +123,6 @@ def pearson(x, y) -> float:
     return float((xc @ yc) / (np.sqrt(ss_x) * np.sqrt(ss_y)))
 
 
-def soa_family(name: str) -> str | None:
-    """Family key for association indices ('asc' aggregate or the type tag)."""
-    for suffix in _SOA_SUFFIXES:
-        if name == "asc" + suffix:
-            return "asc"
-        if name.endswith("_" + suffix):
-            return name[: -len(suffix) - 1]
-    return None
-
-
 def bivariate_r(matrix: FeatureMatrix) -> dict[str, float | None]:
     """Per-feature correlation with the target, pairwise-complete.
 
@@ -160,18 +150,13 @@ def bivariate_filter(r_by_name: dict[str, float | None], threshold: float = 0.10
     column.
     """
     passed = [n for n, r in r_by_name.items() if r is not None and abs(r) >= threshold]
-    best_in_family: dict[str, str] = {}
+    best: dict[str, str] = {}  # family -> its strongest member so far
     for n in passed:
         fam = soa_family(n)
-        if fam is None:
-            continue
-        cur = best_in_family.get(fam)
-        if cur is None or abs(r_by_name[n]) > abs(r_by_name[cur]):
-            best_in_family[fam] = n
-    return [
-        n for n in passed
-        if soa_family(n) is None or best_in_family[soa_family(n)] == n
-    ]
+        if fam is not None and abs(r_by_name[n]) > abs(r_by_name[best.setdefault(fam, n)]):
+            best[fam] = n
+    # A name outside every family is its own best.
+    return [n for n in passed if best.get(soa_family(n), n) == n]
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +263,6 @@ class AicSelection:
     best_aic: float
     # All subsets within AIC_DELTA of the minimum, best first.
     candidates: list[tuple[tuple[str, ...], float]]
-    n_obs: int
     n_models: int
 
 
@@ -381,7 +365,6 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
         best=candidates[0][0],
         best_aic=best_aic,
         candidates=candidates,
-        n_obs=n,
         n_models=1 << k,
     )
 

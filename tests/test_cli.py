@@ -328,6 +328,81 @@ def test_output_through_a_symlink_loop_is_a_data_error(frames_dir, tmp_path, cap
     assert "Too many levels of symbolic links" in capsys.readouterr().err
 
 
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# (flag, output as given, argv) per command and input kind; paths are relative
+# to the test's directory, which holds texts t/, a norm table my.tsv and two
+# stats CSVs.
+_OUTPUT_IS_INPUT = {
+    "analyze-source": ("--output-csv", "my.tsv",
+                       ["analyze", "--input-dir", "t", "--source", "my.tsv", "--output-csv", "my.tsv"]),
+    "analyze-source-debug": ("--debug-tags", "my.tsv",
+                             ["analyze", "--input-dir", "t", "--source", "my.tsv",
+                              "--output-csv", "o.csv", "--debug-tags", "my.tsv"]),
+    "analyze-text-debug": ("--debug-tags", "t/attr.conllu",
+                           ["analyze", "--input-dir", "t", "--source", "demo",
+                            "--output-csv", "o.csv", "--debug-tags", "t/attr.conllu"]),
+    "analyze-text-recursive": ("--output-csv", "t/sub/passive.conllu",
+                               ["analyze", "--input-dir", "t", "--source", "demo", "--recursive",
+                                "--output-csv", "t/sub/passive.conllu"]),
+    "analyze-text-via-symlink": ("--output-csv", "link",
+                                 ["analyze", "--input-dir", "t", "--source", "demo",
+                                  "--output-csv", "link"]),
+    "build-norms-out": ("--out", "t/attr.conllu",
+                        ["build-norms", "--corpus-dir", "t", "--out", "t/attr.conllu"]),
+    "build-norms-debug-via-hard-link": ("--debug-tags", "hard",
+                                        ["build-norms", "--corpus-dir", "t", "--out", "n.tsv",
+                                         "--debug-tags", "hard"]),
+    "stats-scores": ("--report", "sc.csv",
+                     ["stats", "--indices-csv", "ix.csv", "--scores-csv", "sc.csv", "--report", "sc.csv"]),
+    "stats-indices": ("--report", "ix.csv",
+                      ["stats", "--indices-csv", "ix.csv", "--scores-csv", "sc.csv", "--report", "ix.csv"]),
+}
+
+
+@pytest.fixture
+def inputs_dir(frames_dir, tmp_path, monkeypatch):
+    copy_frames(frames_dir, tmp_path / "t", ["attr", "ditran"])
+    copy_frames(frames_dir, tmp_path / "t" / "sub", ["passive"])
+    assert cli.main(["build-norms", "--corpus-dir", str(tmp_path / "t"), "--out", str(tmp_path / "my.tsv")]) == 0
+    idx, sc = write_stats_csvs(tmp_path)
+    idx.rename(tmp_path / "ix.csv")
+    sc.rename(tmp_path / "sc.csv")
+    (tmp_path / "link").symlink_to(tmp_path / "t" / "ditran.conllu")
+    os.link(tmp_path / "t" / "ditran.conllu", tmp_path / "hard")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", list(_OUTPUT_IS_INPUT))
+def test_an_output_naming_an_input_is_a_usage_error(inputs_dir, capsys, case):
+    flag, path, argv = _OUTPUT_IS_INPUT[case]
+    capsys.readouterr()
+    before = _tree_bytes(inputs_dir)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {flag} names an input file: {path}"]
+    # Nothing written, the input included, and no .partial left.
+    assert _tree_bytes(inputs_dir) == before
+
+
+def test_an_output_naming_an_input_is_checked_after_flags_and_inputs(inputs_dir, capsys):
+    base = ["analyze", "--input-dir", "t", "--output-csv", "t/attr.conllu"]
+    assert cli.main([*base, "--source", "demo", "--jobs", "0"]) == 1
+    assert capsys.readouterr().err == "usage error: --jobs must be >= 1\n"
+    assert cli.main([*base, "--source", "nope"]) == 2
+    assert "unknown norm source 'nope'" in capsys.readouterr().err
+    assert cli.main(["analyze", "--input-dir", "none", "--source", "my.tsv", "--output-csv", "my.tsv"]) == 2
+    assert capsys.readouterr().err == "error: none is not a directory\n"
+    # Outputs that exist but are no input are written as before.
+    for _ in range(2):
+        assert cli.main(["analyze", "--input-dir", "t", "--source", "my.tsv", "--output-csv", "o.csv",
+                         "--debug-tags", "o.tags"]) == 0
+        assert cli.main(["stats", "--indices-csv", "ix.csv", "--scores-csv", "sc.csv",
+                         "--report", "r.txt"]) == 0
+
+
 def test_analyze_debug_tags_stream(frames_dir, tmp_path):
     inp = copy_frames(frames_dir, tmp_path / "in", ["ditran"])
     out = tmp_path / "out.csv"
@@ -521,7 +596,7 @@ def test_directories_named_conllu_are_not_texts(frames_dir, tmp_path, capsys):
 
     # Searched recursively, a file inside such a directory is still a text.
     shutil.copy(frames_dir / "ditran.conllu", inp / "sub.conllu" / "ditran.conllu")
-    assert [key for key, _ in cli.discover_files(inp, recursive=True)] == [
+    assert [key for key, _ in cli.discover_files(inp, recursive=True)[0]] == [
         "attr.conllu", "sub.conllu/ditran.conllu"
     ]
 

@@ -82,7 +82,7 @@ def test_comments_and_crlf():
 
 def test_headless_sentence():
     text = BARKED.replace("0\troot", "2\tdep")
-    with pytest.raises(ConlluError, match="sentence 0.*headless"):
+    with pytest.raises(ConlluError, match=r"^line 1: headless sentence"):
         parse_conllu(text)
 
 
@@ -98,7 +98,7 @@ def test_cycle():
         "2\tb\tb\tNOUN\t_\t_\t1\tdep\t_\t_\n"
         "3\tc\tc\tVERB\t_\t_\t0\troot\t_\t_\n"
     )
-    with pytest.raises(ConlluError, match="sentence 0.*cyclic"):
+    with pytest.raises(ConlluError, match=r"^line 1: cyclic"):
         parse_conllu(text)
 
 
@@ -106,6 +106,54 @@ def test_head_to_missing_token():
     text = BARKED.replace("2\tdet", "9\tdet")
     with pytest.raises(ConlluError, match="missing token"):
         parse_conllu(text)
+
+
+def _sentence_41(heads):
+    """40 two-word sentences on lines 1-120, then a 41st whose words 1-5 take heads.
+
+    Its words sit on lines 122, 123, 125, 126 and 129: a comment, a range, an
+    empty node and a second comment come between them.
+    """
+    word = "{}\tw\tw\tX\t_\t_\t{}\tdep\t_\t_\n".format
+    return (
+        (word(1, 0) + word(2, 1) + "\n") * 40
+        + "# sent_id = 41\n" + word(1, heads[0]) + word(2, heads[1])
+        + "3-4\tww\t_\t_\t_\t_\t_\t_\t_\t_\n" + word(3, heads[2]) + word(4, heads[3])
+        + "4.1\tw\tw\tX\t_\t_\t_\t_\t_\t_\n" + "# after the empty node\n" + word(5, heads[4])
+    )
+
+
+@pytest.mark.parametrize(
+    "heads, expected",
+    [
+        # Word 4's head names no word, and no word is the root: the head is named.
+        ((2, 3, 2, 9, 4), "line 126: head 9 points to missing token"),
+        ((2, 0, 2, 2, 0), "line 129: multiple root tokens"),
+        ((2, 3, 2, 2, 4), "line 122: headless sentence (no head=0 token)"),
+        # Words 4 and 5 head each other; word 4 is the first the root does not reach.
+        ((0, 1, 1, 5, 4), "line 126: cyclic dependency structure"),
+        ((0, 1, 1, 1, 5), "line 129: cyclic dependency structure"),
+    ],
+    ids=["missing-head-first", "second-root", "headless", "cycle", "self-head"],
+)
+@pytest.mark.parametrize("ending", ["lf", "no-final-newline", "then-a-sentence", "crlf", "file-crlf"])
+def test_tree_errors_name_the_line_of_the_word_at_fault(heads, expected, ending, tmp_path):
+    text = _sentence_41(heads)
+    if ending == "no-final-newline":
+        text = text.rstrip("\n")
+    elif ending == "then-a-sentence":
+        text += "\n" + BARKED
+    elif ending in ("crlf", "file-crlf"):
+        text = text.replace("\n", "\r\n")
+    with pytest.raises(ConlluError) as info:
+        if ending == "file-crlf":
+            (tmp_path / "x.conllu").write_bytes(text.encode("utf-8"))
+            parse_conllu_file(tmp_path / "x.conllu")
+        else:
+            parse_conllu(text)
+    assert str(info.value) == ("x.conllu: " if ending == "file-crlf" else "") + expected
+    # The same sentence with well-formed heads parses.
+    assert len(parse_conllu(_sentence_41((2, 0, 2, 3, 4))).sentences) == 41
 
 
 def test_sentence_split_on_blank_lines():
@@ -217,7 +265,8 @@ def test_bom_and_plain_files_give_equal_documents_and_tokens(tmp_path):
 TWO = BARKED + "\n" + BARKED  # two sentences on lines 1-4 and 6-9
 NINE_COLUMNS = "1\tx\tx\tX\t_\t_\t0\troot\t_\n"  # appended to TWO, it is line 10
 LINE_10 = "line 10: malformed token line (9 columns, expected 10)"
-HEADLESS = "sentence 0: headless sentence (no head=0 token)"
+# Ended by the lone CR of \r\r\n, line 1 is a sentence alone, whose head 2 names no word.
+LINE_1_HEAD = "line 1: head 2 points to missing token"
 LEMMA_CR = TWO.replace("\tbark\t", "\tba\rrk\t", 1)
 LINE_3_CR = "line 3: malformed token line (3 columns, expected 10)"
 
@@ -228,7 +277,7 @@ LINE_3_CR = "line 3: malformed token line (3 columns, expected 10)"
         ("str", TWO.replace("\n", "\r\n"), None),
         # \r\r\n is a carriage return and then a CRLF: two line breaks, so
         # token 1 is a sentence alone.
-        ("str", TWO.replace("\n", "\r\r\n"), HEADLESS),
+        ("str", TWO.replace("\n", "\r\r\n"), LINE_1_HEAD),
         # A carriage return inside a field ends its line there.  Kept in a
         # lemma, it would reach a norm table that load_norms rejects.
         ("str", LEMMA_CR, LINE_3_CR),
@@ -237,7 +286,7 @@ LINE_3_CR = "line 3: malformed token line (3 columns, expected 10)"
         ("str", "\ufeff" + TWO, "line 1: malformed token line (non-integer id '\\ufeff1')"),
         ("file", TWO.replace("\n", "\r"), None),
         ("file", (TWO + NINE_COLUMNS).replace("\n", "\r"), "t.conllu: " + LINE_10),
-        ("file", TWO.replace("\n", "\r\r\n"), "t.conllu: " + HEADLESS),
+        ("file", TWO.replace("\n", "\r\r\n"), "t.conllu: " + LINE_1_HEAD),
         ("file", TWO.rstrip("\n"), None),
         ("file", "\ufeff" + TWO.replace("\n", "\r\n"), None),
         ("file", LEMMA_CR, "t.conllu: " + LINE_3_CR),
@@ -313,8 +362,8 @@ def test_analyze_warns_about_a_superscript_id_and_goes_on(frames_dir, tmp_path, 
     assert "analyzed 1 of 2 files, 1 warnings" in err
 
 
-def walk_oracle(tokens, index, first_line=1):
-    """The word-id rule, then the per-token cycle walk; the error text or None.
+def walk_oracle(tokens, first_line=1):
+    """The word-id rule, then the tree checks with the per-token cycle walk; the error text or None.
 
     tokens[k] sits on line first_line + k.
     """
@@ -322,23 +371,22 @@ def walk_oracle(tokens, index, first_line=1):
         if t.id != k:
             return f"line {first_line + k - 1}: word id {t.id}, expected {k}"
     head_of = {t.id: t.head for t in tokens}
-    if len(head_of) != len(tokens):
-        return f"sentence {index}: duplicate token ids"
-    roots = [t for t in tokens if t.head == 0]
-    if not roots:
-        return f"sentence {index}: headless sentence (no head=0 token)"
-    if len(roots) > 1:
-        return f"sentence {index}: multiple root tokens"
+    line_of = {t.id: first_line + k for k, t in enumerate(tokens)}
     for t in tokens:
         if t.head != 0 and t.head not in head_of:
-            return f"sentence {index}: head {t.head} points to missing token"
+            return f"line {line_of[t.id]}: head {t.head} points to missing token"
+    roots = [t for t in tokens if t.head == 0]
+    if len(roots) > 1:
+        return f"line {line_of[roots[1].id]}: multiple root tokens"
+    if not roots:
+        return f"line {first_line}: headless sentence (no head=0 token)"
     resolved = set()
     for t in tokens:
         seen = set()
         node = t.id
         while node != 0 and node not in resolved:
             if node in seen:
-                return f"sentence {index}: cyclic dependency structure"
+                return f"line {line_of[t.id]}: cyclic dependency structure"
             seen.add(node)
             node = head_of[node]
         resolved |= seen
@@ -402,7 +450,7 @@ def test_validator_agrees_with_the_cycle_walk(graph, index):
         f"{t.id}\t{t.form}\t{t.lemma}\t{t.upos}\t_\t_\t{t.head}\t{t.deprel}\t_\t_\n"
         for t in tokens
     )
-    expected = walk_oracle(tokens, index, first_line=5 * index + 1)
+    expected = walk_oracle(tokens, first_line=5 * index + 1)
     if expected is not None:
         with pytest.raises(ConlluError) as err:
             parse_conllu(text)

@@ -110,6 +110,56 @@ def test_soa_family_parsing():
     assert soa_family("ATTR_Prop") is None
 
 
+def test_soa_family_over_every_index_name():
+    from asc_toolkit import indices
+
+    assert stats.soa_family is indices.soa_family
+    families = {name: soa_family(name) for name in indices.INDEX_NAMES}
+    split = {n: n.rpartition("Av") for n in indices.INDEX_NAMES}
+    association = [n for n, (_, _, metric) in split.items() if metric in indices.SOA_METRICS]
+    assert len(association) == 40
+    for name in association:
+        prefix = split[name][0]
+        assert families[name] == ("asc" if prefix == "asc" else prefix.removesuffix("_"))
+        assert families[name] in ("asc", *indices.ASC_TYPES)
+    others = [n for n in indices.INDEX_NAMES if n not in association]
+    assert len(others) == 14
+    assert all(families[n] is None for n in others)
+    # Names outside INDEX_NAMES: any "_Av<metric>" ending names a family, a
+    # bare "<x>Av<metric>" other than asc does not.
+    assert soa_family("x_AvMI") == "x"
+    assert soa_family("fooAvMI") is None
+
+
+def test_bivariate_filter_family_ties_keep_the_earlier_column():
+    r = {"PASSIVE_AvMI": 0.3, "PASSIVE_AvT": -0.3, "PASSIVE_AvDeltaPLemma": 0.2}
+    assert bivariate_filter(r, 0.10) == ["PASSIVE_AvMI"]
+    r = {"PASSIVE_AvT": -0.3, "PASSIVE_AvMI": 0.3}
+    assert bivariate_filter(r, 0.10) == ["PASSIVE_AvT"]
+
+
+def test_bivariate_filter_a_later_stronger_member_replaces_an_earlier_one():
+    r = {"ATTR_AvMI": 0.2, "ATTR_AvT": 0.25, "ATTR_AvDeltaPLemma": -0.4, "ATTR_AvDeltaPStructure": 0.39}
+    assert bivariate_filter(r, 0.10) == ["ATTR_AvDeltaPLemma"]
+
+
+def test_bivariate_filter_prunes_the_aggregate_and_each_type_apart():
+    r = {
+        "ascAvMI": 0.2, "ascAvT": 0.5,
+        "TRAN_S_AvMI": 0.9, "TRAN_S_AvT": 0.1,
+        "DITRAN_AvDeltaPLemma": 0.15,
+    }
+    assert bivariate_filter(r, 0.10) == ["ascAvT", "TRAN_S_AvMI", "DITRAN_AvDeltaPLemma"]
+
+
+def test_bivariate_filter_keeps_every_name_outside_the_families_in_column_order():
+    r = {
+        "ascMATTR": 0.2, "ascAvMI": 0.9, "zeta": -0.5, "ATTR_Prop": 0.3,
+        "ascAvT": 0.95, "alpha": 0.11, "ascAvFreq": 0.8, "dropped": 0.05, "none": None,
+    }
+    assert bivariate_filter(r, 0.10) == ["ascMATTR", "zeta", "ATTR_Prop", "ascAvT", "alpha", "ascAvFreq"]
+
+
 def test_bivariate_threshold():
     rng = random.Random(60)
     target = [rng.gauss(0, 1) for _ in range(200)]
