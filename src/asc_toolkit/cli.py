@@ -285,9 +285,10 @@ def cmd_build_norms(args) -> int:
     _check_outputs(outputs, text_ids)
     documents = (parse_conllu_file(path, key) for key, path in files)
     label = args.label if args.label is not None else corpus_dir.name
+    # --out is written inside the block, so a failure there leaves --debug-tags as it was.
     with _replace_on_success(args.debug_tags) as debug:
         norm = build_norms(documents, label, debug=debug)
-    save_norms(norm, args.out)
+        save_norms(norm, args.out)
     print(f"{norm.total} ASC tokens ({len(norm.pair_counts)} pairs) -> {args.out}")
     return EXIT_OK
 

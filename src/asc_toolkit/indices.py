@@ -13,7 +13,7 @@ reduce(add, ...), since from Python 3.12 sum() compensates float sums.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
@@ -187,26 +187,27 @@ def soa_indices(pairs: Sequence[tuple[str, str]], norm: NormTable) -> IndexVecto
     scored once per norm table, into norm.pair_scores.
     """
     scores = norm.pair_scores
-    # One row of scores per token, overall and per type, in token order, so
-    # each mean sums the same values in the same order as a per-metric rescan.
-    rows: list[tuple[float | None, ...]] = []
-    by_type: dict[str, list[tuple[float | None, ...]]] = {t: [] for t in ASC_TYPES}
-    for key in pairs:
-        vals = scores.get(key)
-        if vals is None:
-            cells = contingency(norm, *key)
-            vals = scores[key] = (mi(cells), t_score(cells), dp_lemma(cells), dp_structure(cells))
-        rows.append(vals)
-        typed = by_type.get(key[0])
-        if typed is not None:
-            typed.append(vals)
+    # One row of scores per token, in token order, so each mean sums the same
+    # values in the same order as a per-metric rescan.
+    rows = [scores.get(key) or _score(norm, key) for key in pairs]
+    by_type: defaultdict[str, list[tuple[float | None, ...]]] = defaultdict(list)
+    for (asc_type, _), vals in zip(pairs, rows):
+        by_type[asc_type].append(vals)
     out: IndexVector = {}
     for prefix, group in (("ascAv", rows), *((f"{t}_Av", by_type[t]) for t in ASC_TYPES)):
         # An empty group has no values for any metric, so each mean is None.
         for m, values in zip(SOA_METRICS, zip(*group) if group else repeat(())):
-            kept = [v for v in values if v is not None]
-            out[prefix + m] = reduce(add, kept, 0.0) / len(kept) if kept else None
+            if None in values:
+                values = [v for v in values if v is not None]
+            out[prefix + m] = reduce(add, values, 0.0) / len(values) if values else None
     return out
+
+
+def _score(norm: NormTable, key: tuple[str, str]) -> tuple[float | None, ...]:
+    """The four association scores of pair key, kept in norm.pair_scores."""
+    cells = contingency(norm, *key)
+    vals = norm.pair_scores[key] = (mi(cells), t_score(cells), dp_lemma(cells), dp_structure(cells))
+    return vals
 
 
 def compute_from_tags(

@@ -70,13 +70,24 @@ def normalize_deprel(deprel: str) -> str:
 def _first_copula(deps: list[Row]) -> Row | None:
     """The first row of deps, in word order, whose base relation is cop, or None."""
     for d in deps:
-        if normalize_deprel(d[5]) == "cop":
+        # A label without a colon is its own base relation.
+        if d[5] == "cop" or (":" in d[5] and normalize_deprel(d[5]) == "cop"):
             return d
     return None
 
 
 def tag_sentence(sentence: Sentence, sentence_index: int = 0, source_id: str = "") -> list[AscToken]:
-    """Tag every qualifying predicate in one sentence, in word-id order.
+    """Tag every qualifying predicate in one sentence, in word-id order."""
+    return _tag([sentence], sentence_index, source_id)
+
+
+def tag_document(doc: Document) -> list[AscToken]:
+    """Tag every sentence of the document, in sentence order, as tag_sentence does."""
+    return _tag(doc.sentences, 0, doc.source_id)
+
+
+def _tag(sentences: list[Sentence], first_index: int, source_id: str) -> list[AscToken]:
+    """Tag every qualifying predicate of sentences, numbered from first_index, in order.
 
     Candidates are VERB words and words governing a copula; _classify
     picks each one's frame, if any.  A row is (id, form, lemma, upos, head,
@@ -84,20 +95,23 @@ def tag_sentence(sentence: Sentence, sentence_index: int = 0, source_id: str = "
     row[5] the relation.
     """
     tags: list[AscToken] = []
-    dep_rows = sentence.dep_rows
-    for row in sentence.rows:
-        # A word without dependents fits no frame, nor does a non-candidate.
-        deps = dep_rows[row[0]]
-        if deps is None or (row[3] != "VERB" and _first_copula(deps) is None):
-            continue
-        asc_type = _classify({normalize_deprel(d[5]) for d in deps}, deps)
-        if asc_type is None:
-            continue
-        # An ATTR tag is anchored on its copula, every other tag on its predicate.
-        lemma = (_first_copula(deps) if asc_type == "ATTR" else row)[2].lower()
-        if not lemma:
-            continue
-        tags.append(AscToken(asc_type, row[0], lemma, sentence_index, source_id))
+    for sentence_index, sentence in enumerate(sentences, first_index):
+        dep_rows = sentence.dep_rows
+        for row in sentence.rows:
+            # A word without dependents fits no frame, nor does a non-candidate.
+            deps = dep_rows[row[0]]
+            if deps is None or (row[3] != "VERB" and _first_copula(deps) is None):
+                continue
+            # A label without a colon is its own base relation.
+            rels = {normalize_deprel(d[5]) if ":" in d[5] else d[5] for d in deps}
+            asc_type = _classify(rels, deps)
+            if asc_type is None:
+                continue
+            # An ATTR tag is anchored on its copula, every other tag on its predicate.
+            lemma = (_first_copula(deps) if asc_type == "ATTR" else row)[2].lower()
+            if not lemma:
+                continue
+            tags.append(AscToken(asc_type, row[0], lemma, sentence_index, source_id))
     return tags
 
 
@@ -135,14 +149,6 @@ def _classify(rels: set[str], deps: list[Row]) -> str | None:
     if not (rels & _FRAME_RELS):
         return "INTRAN_S"
     return None
-
-
-def tag_document(doc: Document) -> list[AscToken]:
-    """Concatenate tag_sentence output over the document, in sentence order."""
-    tags: list[AscToken] = []
-    for i, sentence in enumerate(doc.sentences):
-        tags.extend(tag_sentence(sentence, i, doc.source_id))
-    return tags
 
 
 def debug_lines(tags: Iterable[AscToken]) -> Iterator[str]:

@@ -705,6 +705,21 @@ def test_build_norms_debug_stream_matches_table(frames_dir, tmp_path):
     assert plain.read_bytes() == out.read_bytes()
 
 
+def test_build_norms_failing_out_leaves_the_debug_stream(frames_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    dbg = tmp_path / "tags.tsv"
+    dbg.write_bytes(b"old\n")
+    rc = cli.main(
+        ["build-norms", "--corpus-dir", str(frames_dir), "--out", str(out), "--debug-tags", str(dbg)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert dbg.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tags.tsv"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "content, problem",
     [

@@ -11,6 +11,8 @@ from asc_toolkit.ingest import Document, parse_conllu, parse_conllu_file
 from asc_toolkit.norms import NormTableError, build_norms, contingency, load_norms, save_norms
 from asc_toolkit.tagger import (
     ASC_TYPES,
+    AscToken,
+    _classify,
     debug_lines,
     normalize_deprel,
     tag_document,
@@ -538,3 +540,81 @@ def test_every_frame_combination_agrees_with_frame_table():
     got = [(t.sentence_index, t.verb_token_id, t.asc_type, t.verb_lemma) for t in tags]
     assert got == oracle_tags(text)
     assert {t.asc_type for t in tags} == set(ASC_TYPES)
+
+
+# ---------------------------------------------------------------------------
+# The tagger reads a label without a colon as its own base relation and calls
+# normalize_deprel only for the others.  The reference below calls it on
+# every dependent's label, so the two differ if that shortcut ever does.
+
+
+def normalize_every_label(doc):
+    """The tags of doc, with each dependent's base relation read by normalize_deprel."""
+    tags = []
+    for i, sentence in enumerate(doc.sentences):
+        for row in sentence.rows:
+            deps = sentence.dep_rows[row[0]]
+            if deps is None:
+                continue
+            copulas = [d for d in deps if normalize_deprel(d[5]) == "cop"]
+            if row[3] != "VERB" and not copulas:
+                continue
+            asc_type = _classify({normalize_deprel(d[5]) for d in deps}, deps)
+            if asc_type is None:
+                continue
+            lemma = (copulas[0] if asc_type == "ATTR" else row)[2].lower()
+            if lemma:
+                tags.append(AscToken(asc_type, row[0], lemma, i, doc.source_id))
+    return tags
+
+
+SUBTYPED_LABELS = [
+    "cop:x", "cop:", "nsubj:pass", "nsubj:pass:x", "aux:pass", "obj:", ":x", "obl:tmod:y",
+]
+LABEL_BASES = ["nsubj", "cop", "obj", "iobj", "obl", "xcomp", "advmod", "aux", "det", ""]
+# Any base, the empty one too, with any subtype, colons and the empty one included.
+subtyped_labels = st.builds(
+    "{}:{}".format, st.sampled_from(LABEL_BASES), st.text(alphabet="apsx:", max_size=6)
+)
+labels = st.one_of(
+    st.sampled_from(SUBTYPED_LABELS), subtyped_labels, st.sampled_from(LABEL_BASES[:-1])
+)
+
+
+@st.composite
+def labelled_sentences(draw):
+    """A tree of up to 8 words, each after the first headed by an earlier one."""
+    n = draw(st.integers(1, 8))
+    lines = []
+    for i in range(1, n + 1):
+        lemma = draw(st.sampled_from(["be", "Seem", "give", "apart", "very", ""]))
+        upos = draw(st.sampled_from(["VERB", "ADJ", "NOUN", "ADV", "AUX"]))
+        head = draw(st.integers(1, i - 1)) if i > 1 else 0
+        rel = draw(labels) if i > 1 else "root"
+        lines.append(f"{i}\tw\t{lemma}\t{upos}\t_\t_\t{head}\t{rel}\t_\t_\n")
+    return "".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sentences=st.lists(labelled_sentences(), min_size=1, max_size=4))
+def test_labels_without_a_colon_read_as_normalize_deprel_reads_them(sentences):
+    doc = parse_conllu("\n".join(sentences), "t")
+    assert tag_document(doc) == normalize_every_label(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sentences=st.lists(st.one_of(ud_sentences(), labelled_sentences()), min_size=1, max_size=6),
+    source_id=st.sampled_from(["", "t", "dir/text.conllu"]),
+)
+def test_tag_sentence_over_a_document_equals_tag_document(sentences, source_id):
+    doc = parse_conllu("\n".join(sentences), source_id)
+    tags = [t for i, s in enumerate(doc.sentences) for t in tag_sentence(s, i, doc.source_id)]
+    assert tags == tag_document(doc)
+
+
+def test_tag_sentence_numbers_from_its_sentence_index():
+    doc = parse_conllu("\n".join([PASSIVE_SENT, ATTR_SENT, DITRAN_SENT, DITRAN_SENT]), "a.conllu")
+    tags = tag_sentence(doc.sentences[3], 3, "a.conllu")
+    assert tags == [t for t in tag_document(doc) if t.sentence_index == 3]
+    assert [(t.asc_type, t.sentence_index, t.source_id) for t in tags] == [("DITRAN", 3, "a.conllu")]
