@@ -5,7 +5,6 @@ Subcommands:
   build-norms  build a reference norm table from a CoNLL-U corpus
   stats        relate an indices CSV to a scores CSV and write a model report
 
-Running with bare flags (no subcommand) behaves like `analyze`.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -35,8 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_COMMANDS = ("analyze", "build-norms", "stats")
-
 # A file's (device, inode): two paths with one FileId name one file.
 FileId = tuple[int, int]
 
@@ -62,12 +59,12 @@ def build_parser() -> _Parser:
         required=True,
         help="norm table: bundled name (e.g. 'demo') or path to a norm TSV",
     )
-    p_an.add_argument("--window", type=int, default=11, help="MATTR window (default 11)")
+    p_an.add_argument("--window", type=int, default=11, help="MATTR window (default %(default)s)")
     p_an.add_argument(
         "--min-ref-freq",
         type=int,
         default=5,
-        help="minimum reference frequency for the frequency indices (default 5)",
+        help="minimum reference frequency for the frequency indices (default %(default)s)",
     )
     p_an.add_argument("--recursive", action="store_true", help="search input dir recursively")
     p_an.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -87,15 +84,17 @@ def build_parser() -> _Parser:
     p_st.add_argument("--scores-csv", required=True, help="CSV with filename + score column(s)")
     p_st.add_argument("--report", required=True, help="destination report path")
     p_st.add_argument(
-        "--score-column", default="score", help="score column name (default 'score')"
+        "--score-column",
+        default="score",
+        metavar="A[,B,...]",
+        help="score column, or comma-separated columns to average (default %(default)r)",
     )
     p_st.add_argument(
-        "--composite-of",
-        default=None,
-        help="comma-separated subscore columns to average into the target",
+        "--r-threshold", type=float, default=0.10, help="|r| cutoff (default %(default).2f)"
     )
-    p_st.add_argument("--r-threshold", type=float, default=0.10, help="|r| cutoff (default 0.10)")
-    p_st.add_argument("--vif-limit", type=float, default=5.0, help="VIF cutoff (default 5)")
+    p_st.add_argument(
+        "--vif-limit", type=float, default=5.0, help="VIF cutoff (default %(default)g)"
+    )
     p_st.set_defaults(func=cmd_stats)
     return parser
 
@@ -275,7 +274,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build_norms(args) -> int:
-    # load_norms reads the label back from a one-line #source header.
+    # save_norms refuses such a label too, but only once the corpus is tagged.
     if args.label is not None and ("\n" in args.label or "\r" in args.label):
         raise UsageError(f"--label must not hold a line break, got {args.label!r}")
     outputs = {"--out": args.out, "--debug-tags": args.debug_tags}
@@ -284,7 +283,8 @@ def cmd_build_norms(args) -> int:
     files, text_ids = discover_files(corpus_dir, args.recursive)
     _check_outputs(outputs, text_ids)
     documents = (parse_conllu_file(path, key) for key, path in files)
-    label = args.label if args.label is not None else corpus_dir.name
+    # abspath makes `.` and `sub/..` name their directory, without following a symlink.
+    label = args.label if args.label is not None else os.path.basename(os.path.abspath(corpus_dir))
     # --out is written inside the block, so a failure there leaves --debug-tags as it was.
     with _replace_on_success(args.debug_tags) as debug:
         norm = build_norms(documents, label, debug=debug)
@@ -299,23 +299,16 @@ def cmd_stats(args) -> int:
         raise UsageError(f"--r-threshold must be within [0, 1], got {args.r_threshold}")
     if not 1.0 < args.vif_limit < math.inf:
         raise UsageError(f"--vif-limit must be finite and > 1, got {args.vif_limit}")
-    composite = None
-    if args.composite_of is not None:
-        composite = [c.strip() for c in args.composite_of.split(",") if c.strip()]
-        if not composite:
-            raise UsageError(f"--composite-of names no column: {args.composite_of!r}")
+    score_columns = [c.strip() for c in args.score_column.split(",") if c.strip()]
+    if not score_columns:
+        raise UsageError(f"--score-column names no column: {args.score_column!r}")
     inputs = {_file_id(args.indices_csv), _file_id(args.scores_csv)}
     _check_outputs({"--report": args.report}, inputs)
     # analyze and build-norms run without numpy; stats needs it at every stage.
     # Found, not imported, here: loading it before the CSVs raises peak memory.
     if importlib.util.find_spec("numpy") is None:
         raise ValueError("stats needs numpy, which is not installed: pip install numpy")
-    matrix = load_feature_matrix(
-        args.indices_csv,
-        args.scores_csv,
-        score_column=args.score_column,
-        composite_of=composite,
-    )
+    matrix = load_feature_matrix(args.indices_csv, args.scores_csv, score_columns)
     if matrix.n_rows() < 10:
         raise ValueError(f"join produced only {matrix.n_rows()} rows (need >= 10)")
     result = run_pipeline(matrix, r_threshold=args.r_threshold, vif_limit=args.vif_limit)
@@ -326,9 +319,6 @@ def cmd_stats(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
-        argv.insert(0, "analyze")
     # Nothing a command builds holds a reference cycle, so reference counting
     # frees all of it, and the cyclic collector's passes over each parsed
     # document find nothing.  It is off for the command (forked --jobs

@@ -116,14 +116,21 @@ def contingency(norm: NormTable, asc_type: str, lemma: str) -> ContingencyCells:
 
 
 def save_norms(norm: NormTable, path: str | Path) -> None:
-    """Write the TSV norm format: #source/#version/#total header, sorted rows."""
+    """Write the TSV norm format: #source/#version/#total header, sorted rows.
+
+    A label or lemma that load_norms could not read back is a NormTableError; nothing is written.
+    """
     path = Path(path)
+    if "\n" in norm.source or "\r" in norm.source:
+        raise NormTableError(f"cannot save source label {norm.source!r}: it holds a line break")
     lines = [
         f"#source={norm.source}",
         f"#version={norm.version}",
         f"#total={norm.total}",
     ]
     for (c, v), n in sorted(norm.pair_counts.items()):
+        if "\t" in v or "\n" in v or "\r" in v:
+            raise NormTableError(f"cannot save {(c, v)!r}: its lemma holds a tab or line break")
         lines.append(f"{c}\t{v}\t{n}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .indices import soa_family
 
@@ -626,34 +626,34 @@ def _index_row(path: str | Path, line: int, names: list[str], cells: list[str]) 
 def load_feature_matrix(
     indices_csv: str | Path,
     scores_csv: str | Path,
-    score_column: str = "score",
-    composite_of: list[str] | None = None,
+    score_columns: Sequence[str] = ("score",),
 ) -> FeatureMatrix:
     """Join an indices CSV with a scores CSV on JOIN_COLUMN (filename).
 
-    The target is either a single score column or the mean of the listed
-    composite columns.  Rows without a usable score (blank or non-numeric)
-    are excluded; a blank index cell is missing (NaN).  A repeated column
+    The target is the mean of the score_columns (at least one), added left
+    to right.  Rows without a usable score (blank or non-numeric) are
+    excluded; a blank index cell is missing (NaN).  A repeated column
     name, a row with fewer or more cells than its header, a duplicate
     filename, a non-numeric index cell, or a nan or inf cell in either file
     is a ValueError naming the file, the line and the column.  Blank lines
     are skipped.  Both files are UTF-8 and may start with a byte order mark;
     a byte that is not UTF-8 is a ValueError naming the file.
     """
+    if not score_columns:
+        raise ValueError("no score column named")
     scores: dict[str, float] = {}
     with _csv_rows(scores_csv) as reader:
         header = _header(reader, scores_csv, "scores")
-        wanted = composite_of if composite_of else [score_column]
-        missing = [c for c in wanted if c not in header]
+        missing = [c for c in score_columns if c not in header]
         if missing:
             raise ValueError(f"{scores_csv}: scores CSV lacks column(s): {', '.join(missing)}")
-        wanted_at = [header.index(c) for c in wanted]
+        wanted_at = [header.index(c) for c in score_columns]
         for line, key, row in _keyed_rows(reader, scores_csv, header):
             try:
                 vals = [float(row[j]) for j in wanted_at]
             except ValueError:
                 continue
-            for c, j, v in zip(wanted, wanted_at, vals):
+            for c, j, v in zip(score_columns, wanted_at, vals):
                 if not math.isfinite(v):
                     raise _csv_error(scores_csv, line, c, f"non-finite value {row[j]!r}")
             scores[key] = reduce(add, vals, 0.0) / len(vals)  # left to right, as indices' means

@@ -462,14 +462,20 @@ def test_analyze_missing_output_dir_names_the_destination(frames_dir, tmp_path, 
     assert f"No such file or directory: '{out}'" in capsys.readouterr().err
 
 
-def test_bare_flags_default_to_analyze(frames_dir, tmp_path):
+def test_a_subcommand_is_always_named(frames_dir, tmp_path, capsys):
     inp = copy_frames(frames_dir, tmp_path / "in", ["attr"])
     out = tmp_path / "out.csv"
-    rc = cli.main(
-        ["--input-dir", str(inp), "--output-csv", str(out), "--source", "demo"]
-    )
-    assert rc == 0
-    assert out.exists()
+    flags = ["--input-dir", str(inp), "--output-csv", str(out), "--source", "demo"]
+    # Bare flags leave the first positional word, the input dir, to name the command.
+    cases = [(flags, str(inp)), (["stat", *flags], "stat"), (["analyse", *flags], "analyse")]
+    for argv, word in cases:
+        assert cli.main(argv) == 1
+        assert f"usage error: argument command: invalid choice: {word!r}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: asc-toolkit [-h] {analyze,build-norms,stats}")
 
 
 def test_analyze_window_override_changes_diversity(frames_dir, tmp_path):
@@ -572,6 +578,22 @@ def test_build_norms_rejects_label_with_line_break(frames_dir, tmp_path, capsys,
     assert rc == 1
     assert capsys.readouterr().err.startswith("usage error: --label must not hold a line break")
     assert list(tmp_path.iterdir()) == []  # no table, debug stream or partial file
+
+
+@pytest.mark.parametrize(
+    "cwd, corpus_dir, label",
+    [("texts", ".", "texts"), ("texts", "sub/..", "texts"), (".", "link", "link")],
+)
+def test_build_norms_default_label_is_the_corpus_dir_name(
+    frames_dir, tmp_path, monkeypatch, cwd, corpus_dir, label
+):
+    texts = copy_frames(frames_dir, tmp_path / "texts", ["attr"])
+    (texts / "sub").mkdir()
+    (tmp_path / "link").symlink_to(texts, target_is_directory=True)
+    monkeypatch.chdir(tmp_path / cwd)
+    out = tmp_path / "n.tsv"
+    assert cli.main(["build-norms", "--corpus-dir", corpus_dir, "--out", str(out)]) == 0
+    assert load_norms(out).source == label
 
 
 def test_build_norms_empty_dir_aborts(tmp_path, capsys):
@@ -865,11 +887,34 @@ def test_stats_composite_option(tmp_path):
             "--indices-csv", str(idx),
             "--scores-csv", str(sc),
             "--report", str(report),
-            "--composite-of", "syntax,vocabulary,phraseology,grammar",
+            "--score-column", "syntax, vocabulary,phraseology ,grammar",
         ]
     )
     assert rc == 0
-    assert report.exists()
+    # The same report as from one column holding the mean, added left to right.
+    means = ["filename,score"]
+    for i in range(30):
+        b = base[i]
+        means.append(f"t{i},{(b + (b + 1) + (b - 1) + b) / 4!r}")
+    sc.write_text("\n".join(means) + "\n", encoding="utf-8")
+    single = tmp_path / "single.txt"
+    rc = cli.main(
+        ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc), "--report", str(single)]
+    )
+    assert rc == 0
+    assert report.read_bytes() == single.read_bytes()
+
+
+def test_stats_score_column_missing_from_scores_csv_is_a_data_error(tmp_path, capsys):
+    idx, sc = write_stats_csvs(tmp_path, n=20)
+    report = tmp_path / "r.txt"
+    rc = cli.main(
+        ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc),
+         "--report", str(report), "--score-column", "score,nosuch"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {sc}: scores CSV lacks column(s): nosuch\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -882,8 +927,8 @@ def test_stats_composite_option(tmp_path):
         ("--vif-limit", "inf"),
         ("--vif-limit", "0"),
         ("--vif-limit", "1"),
-        ("--composite-of", ","),
-        ("--composite-of", ""),
+        ("--score-column", ","),
+        ("--score-column", ""),
     ],
 )
 def test_stats_rejects_bad_flag_values_as_usage_errors(tmp_path, capsys, flag, value):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -118,6 +119,23 @@ def test_round_trip(tmp_path):
     assert loaded.source == "unit"
     save_norms(loaded, tmp_path / "n2.tsv")
     assert (tmp_path / "n.tsv").read_bytes() == (tmp_path / "n2.tsv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "source, lemma, named",
+    [("a\nb", "see", "source label 'a\\nb'"), ("unit", "b\te", "save ('TRAN_S', 'b\\te')"),
+     ("unit", "b\re", "save ('TRAN_S', 'b\\re')")],
+    ids=["source-lf", "lemma-tab", "lemma-cr"],
+)
+def test_save_refuses_a_table_that_would_not_load_back(tmp_path, source, lemma, named):
+    norm = NormTable(pair_counts={("TRAN_S", "eat"): 2, ("TRAN_S", lemma): 1}, source=source)
+    new, kept = tmp_path / "new.tsv", tmp_path / "kept.tsv"
+    kept.write_bytes(b"before")
+    for path in (new, kept):
+        with pytest.raises(NormTableError, match=re.escape(named)):
+            save_norms(norm, path)
+    assert not new.exists()
+    assert kept.read_bytes() == b"before"
 
 
 def test_load_accepts_bom(tmp_path):

@@ -1021,7 +1021,7 @@ def test_load_feature_matrix_composite(tmp_path):
     sc.write_text(
         "filename,syntax,vocab\na,1,3\nb,2,4\nc,3,5\n", encoding="utf-8"
     )
-    m = load_feature_matrix(idx, sc, composite_of=["syntax", "vocab"])
+    m = load_feature_matrix(idx, sc, score_columns=["syntax", "vocab"])
     assert m.target.tolist() == [2.0, 3.0, 4.0]
 
 
@@ -1032,8 +1032,17 @@ def test_load_feature_matrix_composite_adds_left_to_right(tmp_path):
     sc = tmp_path / "s.csv"
     idx.write_text("filename,f\na,1\n", encoding="utf-8")
     sc.write_text("filename,p,q,r\na,1e16,1,-1e16\n", encoding="utf-8")
-    m = load_feature_matrix(idx, sc, composite_of=["p", "q", "r"])
+    m = load_feature_matrix(idx, sc, score_columns=["p", "q", "r"])
     assert m.target.tolist() == [0.0]
+
+
+def test_load_feature_matrix_needs_a_score_column(tmp_path):
+    idx = tmp_path / "i.csv"
+    sc = tmp_path / "s.csv"
+    idx.write_text("filename,f\na,1\n", encoding="utf-8")
+    sc.write_text("filename,score\na,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^no score column named$"):
+        load_feature_matrix(idx, sc, score_columns=[])
 
 
 def test_run_pipeline_finds_planted_signal(tmp_path):
