@@ -274,9 +274,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build_norms(args) -> int:
-    # save_norms refuses such a label too, but only once the corpus is tagged.
-    if args.label is not None and ("\n" in args.label or "\r" in args.label):
-        raise UsageError(f"--label must not hold a line break, got {args.label!r}")
+    if args.label is not None:  # NormTable's rule, checked before the corpus is tagged
+        try:
+            NormTable.check_header_value("--label", args.label)
+        except NormTableError as exc:
+            raise UsageError(str(exc)) from None
     outputs = {"--out": args.out, "--debug-tags": args.debug_tags}
     _check_outputs(outputs)
     corpus_dir = Path(args.corpus_dir)

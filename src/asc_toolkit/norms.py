@@ -15,7 +15,7 @@ from typing import Iterable, TextIO
 from .ingest import Document
 from .tagger import ASC_TYPES, AscToken, debug_lines, tag_document
 
-# Format version written to norm files; loaders accept the same major version.
+# Format version written to norm files; a table's version must share its major number.
 NORM_FORMAT_VERSION = "1.0.0"
 
 
@@ -41,9 +41,11 @@ class ContingencyCells:
         return self.a + self.b + self.c_cell + self.d
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormTable:
     """Pair counts of a reference corpus; the marginals are derived from them.
+
+    __post_init__ states every rule of a table, so every table saves and loads back.
 
     type_counts, lemma_counts and total are the per-construction and
     per-lemma sums of pair_counts and their total, set on construction.
@@ -64,7 +66,19 @@ class NormTable:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @staticmethod
+    def check_header_value(name: str, text: str) -> None:
+        """A NormTableError if text, the value of a header line, holds a line break."""
+        if "\n" in text or "\r" in text:
+            raise NormTableError(f"{name} must not hold a line break, got {text!r}")
+
     def __post_init__(self) -> None:
+        self.check_header_value("source label", self.source)
+        self.check_header_value("version", self.version)
+        if self.version.split(".", 1)[0] != NORM_FORMAT_VERSION.split(".", 1)[0]:
+            raise NormTableError(
+                f"unsupported norm table version {self.version!r} (expected {NORM_FORMAT_VERSION})"
+            )
         type_counts: Counter[str] = Counter()
         lemma_counts: Counter[str] = Counter()
         for (c, v), n in self.pair_counts.items():
@@ -72,13 +86,19 @@ class NormTable:
                 raise NormTableError(f"inconsistent norm table: count {n} for ({c}, {v})")
             if c not in ASC_TYPES:
                 raise NormTableError(f"inconsistent norm table: unknown construction tag {c!r}")
+            # The tagger lowercases every lemma it counts and skips an empty one.
+            if not v or v != v.lower() or "\t" in v or "\n" in v or "\r" in v:
+                raise NormTableError(
+                    f"inconsistent norm table: the lemma of {(c, v)!r} must be lowercase"
+                    " and non-empty, with no tab or line break"
+                )
             type_counts[c] += n
             lemma_counts[v] += n
         if not self.pair_counts:
             raise NormTableError("empty norm table")
-        self.type_counts = dict(type_counts)
-        self.lemma_counts = dict(lemma_counts)
-        self.total = sum(self.pair_counts.values())
+        object.__setattr__(self, "type_counts", dict(type_counts))
+        object.__setattr__(self, "lemma_counts", dict(lemma_counts))
+        object.__setattr__(self, "total", sum(self.pair_counts.values()))
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "pair_scores"}
@@ -116,21 +136,14 @@ def contingency(norm: NormTable, asc_type: str, lemma: str) -> ContingencyCells:
 
 
 def save_norms(norm: NormTable, path: str | Path) -> None:
-    """Write the TSV norm format: #source/#version/#total header, sorted rows.
-
-    A label or lemma that load_norms could not read back is a NormTableError; nothing is written.
-    """
+    """Write the TSV norm format: #source/#version/#total header, sorted rows."""
     path = Path(path)
-    if "\n" in norm.source or "\r" in norm.source:
-        raise NormTableError(f"cannot save source label {norm.source!r}: it holds a line break")
     lines = [
         f"#source={norm.source}",
         f"#version={norm.version}",
         f"#total={norm.total}",
     ]
     for (c, v), n in sorted(norm.pair_counts.items()):
-        if "\t" in v or "\n" in v or "\r" in v:
-            raise NormTableError(f"cannot save {(c, v)!r}: its lemma holds a tab or line break")
         lines.append(f"{c}\t{v}\t{n}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -181,13 +194,8 @@ def _parse_norms(text: str) -> NormTable:
     for required in ("source", "version", "total"):
         if required not in header:
             raise NormTableError(f"malformed norm file: missing #{required} header")
-    version = header["version"]
-    if version.split(".", 1)[0] != NORM_FORMAT_VERSION.split(".", 1)[0]:
-        raise NormTableError(
-            f"unsupported norm file version {version} (expected {NORM_FORMAT_VERSION})"
-        )
     declared_total = _count(header["total"], "#total header")
-    norm = NormTable(pair_counts=pair_counts, source=header["source"], version=version)
+    norm = NormTable(pair_counts=pair_counts, source=header["source"], version=header["version"])
     if norm.total != declared_total:
         raise NormTableError(
             f"inconsistent norm table: #total={declared_total} but rows sum to {norm.total}"

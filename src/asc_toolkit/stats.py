@@ -606,8 +606,8 @@ def _keyed_rows(reader, path: str | Path, names: list[str]) -> Iterator[tuple[in
         yield reader.line_num, key, row
 
 
-def _index_row(path: str | Path, line: int, names: list[str], cells: list[str]) -> list[float]:
-    """An indices row's cells as floats, NaN where blank; any other cell must be a finite number."""
+def _read_cells(path: str | Path, line: int, names: Sequence[str], cells: list[str]) -> list[float]:
+    """A row's cells read as floats, NaN where blank; any other cell must be a finite number."""
     values = []
     for name, text in zip(names, cells):
         if not text:
@@ -631,11 +631,11 @@ def load_feature_matrix(
     """Join an indices CSV with a scores CSV on JOIN_COLUMN (filename).
 
     The target is the mean of the score_columns (at least one), added left
-    to right.  Rows without a usable score (blank or non-numeric) are
-    excluded; a blank index cell is missing (NaN).  A repeated column
-    name, a row with fewer or more cells than its header, a duplicate
-    filename, a non-numeric index cell, or a nan or inf cell in either file
-    is a ValueError naming the file, the line and the column.  Blank lines
+    to right.  A row with a blank score cell has no score and is excluded;
+    a blank index cell is missing (NaN).  A repeated column name, a row
+    with fewer or more cells than its header, a duplicate filename, or a
+    cell in either file that is neither blank nor a finite number is a
+    ValueError naming the file, the line and the column.  Blank lines
     are skipped.  Both files are UTF-8 and may start with a byte order mark;
     a byte that is not UTF-8 is a ValueError naming the file.
     """
@@ -649,14 +649,10 @@ def load_feature_matrix(
             raise ValueError(f"{scores_csv}: scores CSV lacks column(s): {', '.join(missing)}")
         wanted_at = [header.index(c) for c in score_columns]
         for line, key, row in _keyed_rows(reader, scores_csv, header):
-            try:
-                vals = [float(row[j]) for j in wanted_at]
-            except ValueError:
-                continue
-            for c, j, v in zip(score_columns, wanted_at, vals):
-                if not math.isfinite(v):
-                    raise _csv_error(scores_csv, line, c, f"non-finite value {row[j]!r}")
-            scores[key] = reduce(add, vals, 0.0) / len(vals)  # left to right, as indices' means
+            cells = [row[j] for j in wanted_at]
+            vals = _read_cells(scores_csv, line, score_columns, cells)
+            if "" not in cells:  # a blank score cell means no score
+                scores[key] = reduce(add, vals, 0.0) / len(vals)  # left to right, as indices' means
 
     ids: list[str] = []
     target: list[float] = []
@@ -667,7 +663,7 @@ def load_feature_matrix(
         feature_names = header[:key_at] + header[key_at + 1 :]
         for line, key, row in _keyed_rows(reader, indices_csv, header):
             del row[key_at]
-            values = _index_row(indices_csv, line, feature_names, row)
+            values = _read_cells(indices_csv, line, feature_names, row)
             if key in scores:
                 ids.append(key)
                 target.append(scores[key])

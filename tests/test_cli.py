@@ -1,4 +1,5 @@
 import gc
+import importlib
 import os
 import random
 import shutil
@@ -110,6 +111,23 @@ def test_analyze_corrupt_norm_table_aborts(frames_dir, tmp_path, capsys):
     )
     assert rc == 2
     assert "inconsistent norm table" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_norm_table_with_a_capitalised_lemma(frames_dir, tmp_path, capsys):
+    # The tagger lowercases every lemma, so this row could never match: a
+    # table that held it would give the DITRAN texts empty MI and t cells.
+    inp = copy_frames(frames_dir, tmp_path / "in", ["ditran"])
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("#source=x\n#version=1.0.0\n#total=7\nATTR\tbe\t2\nDITRAN\tGive\t5\n",
+                   encoding="utf-8")
+    out = tmp_path / "o.csv"
+    rc = cli.main(
+        ["analyze", "--input-dir", str(inp), "--output-csv", str(out), "--source", str(bad)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: inconsistent norm table: the lemma of ('DITRAN', 'Give')")
+    assert not out.exists()
 
 
 def test_analyze_unreadable_file_warns_and_continues(frames_dir, tmp_path, capsys):
@@ -871,6 +889,21 @@ def test_stats_disjoint_join_aborts(tmp_path, capsys):
     assert "only 0 rows" in capsys.readouterr().err
 
 
+def test_stats_report_does_not_depend_on_the_order_of_the_indices_rows(tmp_path, monkeypatch):
+    # perfbench's stats-k18 input for seed 1: 2,000 rows, 18 candidates that
+    # reach the AIC scan, and scores rows already shuffled against the texts.
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    data = importlib.import_module("inputs").stats_input(1)
+    header, *rows = data.indices_csv.splitlines(keepends=True)
+    reports = []
+    for name, indices in (("kept", data.indices_csv), ("reversed", header + "".join(rows[::-1]))):
+        (tmp_path / name).mkdir()
+        rc, _, report = run_stats(tmp_path / name, indices, data.scores_csv)
+        assert rc == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_stats_composite_option(tmp_path):
     idx, sc = write_stats_csvs(tmp_path, n=30, seed=8)
     # replace scores with four subscores whose mean is the composite
@@ -1046,11 +1079,14 @@ sys.exit(cli.main(["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(
         ("scores", 10, "t8,16,99", "score", "3 cells, expected 2"),
         ("indices", 1, "name,alpha,beta", None, "indices CSV lacks a 'filename' column"),
         ("scores", 1, "filename,grade", None, "scores CSV lacks column(s): score"),
+        ("scores", 6, 't4,"5,12"', "score", "non-numeric value '5,12'"),
+        ("scores", 8, "t6,n/a", "score", "non-numeric value 'n/a'"),
     ],
     ids=[
         "index-nan", "index-inf", "score-inf", "index-text", "score-dup", "index-dup",
         "index-dup-column", "score-dup-column", "index-short-row", "index-long-row",
         "score-short-row", "score-long-row", "index-no-filename-column", "score-no-score-column",
+        "score-decimal-comma", "score-text",
     ],
 )
 def test_stats_rejects_bad_csv_naming_file_line_column(

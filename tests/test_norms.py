@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -122,20 +123,44 @@ def test_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "source, lemma, named",
-    [("a\nb", "see", "source label 'a\\nb'"), ("unit", "b\te", "save ('TRAN_S', 'b\\te')"),
-     ("unit", "b\re", "save ('TRAN_S', 'b\\re')")],
-    ids=["source-lf", "lemma-tab", "lemma-cr"],
+    "source, version, lemma, named",
+    [
+        ("a\nb", "1.0.0", "see", "source label must not hold a line break, got 'a\\nb'"),
+        ("a\rb", "1.0.0", "see", "source label must not hold a line break, got 'a\\rb'"),
+        ("unit", "2.0.0", "see", "unsupported norm table version '2.0.0' (expected 1.0.0)"),
+        ("unit", "10.0", "see", "unsupported norm table version '10.0' (expected 1.0.0)"),
+        ("unit", "1.0\n#total=9", "see", "version must not hold a line break, got '1.0\\n#total=9'"),
+        ("unit", "1.0.0", "b\te", "the lemma of ('TRAN_S', 'b\\te') must be lowercase"),
+        ("unit", "1.0.0", "b\re", "the lemma of ('TRAN_S', 'b\\re') must be lowercase"),
+        ("unit", "1.0.0", "b\ne", "the lemma of ('TRAN_S', 'b\\ne') must be lowercase"),
+        ("unit", "1.0.0", "", "the lemma of ('TRAN_S', '') must be lowercase"),
+        ("unit", "1.0.0", "Give", "the lemma of ('TRAN_S', 'Give') must be lowercase"),
+        ("unit", "1.0.0", "\u0130", "the lemma of ('TRAN_S', '\u0130') must be lowercase"),
+    ],
+    ids=[
+        "source-lf", "source-cr", "version-2", "version-10", "version-lf", "lemma-tab",
+        "lemma-cr", "lemma-lf", "lemma-empty", "lemma-capitalised", "lemma-dotted-capital-i",
+    ],
 )
-def test_save_refuses_a_table_that_would_not_load_back(tmp_path, source, lemma, named):
-    norm = NormTable(pair_counts={("TRAN_S", "eat"): 2, ("TRAN_S", lemma): 1}, source=source)
-    new, kept = tmp_path / "new.tsv", tmp_path / "kept.tsv"
-    kept.write_bytes(b"before")
-    for path in (new, kept):
-        with pytest.raises(NormTableError, match=re.escape(named)):
-            save_norms(norm, path)
-    assert not new.exists()
-    assert kept.read_bytes() == b"before"
+def test_construction_refuses_a_table_that_would_not_load_back(source, version, lemma, named):
+    with pytest.raises(NormTableError, match=re.escape(named)):
+        NormTable(
+            pair_counts={("TRAN_S", "eat"): 2, ("TRAN_S", lemma): 1}, source=source, version=version
+        )
+
+
+@pytest.mark.parametrize("version", ["1.0.0", "1.9", "1", "1.x\u2028y"])
+def test_construction_accepts_any_version_of_the_same_major_number(version):
+    assert NormTable(pair_counts={("TRAN_S", "eat"): 2}, version=version).version == version
+
+
+def test_a_built_table_cannot_be_reassigned():
+    norm = build_norms([parse_conllu(DITRAN_SENT, source_id="one")], "unit")
+    for name in ("pair_counts", "type_counts", "lemma_counts", "total", "source", "version",
+                 "pair_scores"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(norm, name, getattr(norm, name))
+    assert norm == NormTable(pair_counts={("DITRAN", "give"): 1}, source="unit")
 
 
 def test_load_accepts_bom(tmp_path):
@@ -253,6 +278,16 @@ def test_load_names_a_file_that_is_not_utf8(tmp_path):
 # Characters str.splitlines() treats as line breaks that CoNLL-U lines may hold.
 UNICODE_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+# Header values: any text without a line feed or a carriage return.
+header_texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(UNICODE_LINE_BREAKS),
+        st.characters(exclude_characters="\n\r", exclude_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+# Lemmas are drawn as any text without a tab or line break, then lowercased:
+# .lower() is idempotent, so each is its own .lower(), as a table's must be.
 lemmas = st.text(
     alphabet=st.one_of(
         st.sampled_from(UNICODE_LINE_BREAKS),
@@ -260,7 +295,7 @@ lemmas = st.text(
     ),
     min_size=1,
     max_size=6,
-)
+).map(str.lower)
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,14 +304,17 @@ lemmas = st.text(
         st.tuples(st.sampled_from(ASC_TYPES), lemmas), st.integers(1, 1000), min_size=1
     ),
     unseen=lemmas,
+    source=header_texts,
+    # The major number is NORM_FORMAT_VERSION's; anything may follow its dot.
+    version=st.one_of(st.just("1"), header_texts.map("1.".__add__)),
 )
-@example(pairs={("TRAN_S", "ea\u2028t"): 1}, unseen="x")
-def test_norm_tables_round_trip_with_any_lemma(tmp_path_factory, pairs, unseen):
+@example(pairs={("TRAN_S", "ea\u2028t"): 1}, unseen="x", source="a=b\u2028c", version="1.0.0")
+def test_norm_tables_round_trip_with_any_lemma(tmp_path_factory, pairs, unseen, source, version):
     assume(all(lemma != unseen for _, lemma in pairs))
-    norm = NormTable(pair_counts=pairs, source="gen")
+    norm = NormTable(pair_counts=pairs, source=source, version=version)
     path = tmp_path_factory.mktemp("norms") / "n.tsv"
     save_norms(norm, path)
-    assert load_norms(path) == norm
+    assert load_norms(path) == norm  # source and version take part in equality
     for asc_type, lemma in [*pairs, *((c, unseen) for c in ASC_TYPES)]:
         cells = contingency(norm, asc_type, lemma)
         assert min(cells.a, cells.b, cells.c_cell, cells.d) >= 0

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -987,10 +988,10 @@ def test_load_feature_matrix_empty_cells_become_missing(tmp_path):
     idx = tmp_path / "i.csv"
     sc = tmp_path / "s.csv"
     idx.write_text("filename,f\na,\nb,1.5\nc,2.5\nd,3\ne,4\n", encoding="utf-8")
-    sc.write_text("filename,score\na,1\nb,2\nc,3\nd,\ne,n/a\n", encoding="utf-8")
+    sc.write_text("filename,score\na,1\nb,2\nc,3\nd,\ne,4\n", encoding="utf-8")
     m = load_feature_matrix(idx, sc)
-    assert np.array_equal(m.columns[m.names.index("f")], [math.nan, 1.5, 2.5], equal_nan=True)
-    assert m.ids == ["a", "b", "c"]  # a blank or non-numeric score drops its row
+    assert np.array_equal(m.columns[m.names.index("f")], [math.nan, 1.5, 2.5, 4], equal_nan=True)
+    assert m.ids == ["a", "b", "c", "e"]  # a blank score drops its row
 
 
 def test_load_feature_matrix_accepts_bom(tmp_path):
@@ -1017,12 +1018,12 @@ def test_load_feature_matrix_names_a_file_that_is_not_utf8(tmp_path, which):
 def test_load_feature_matrix_composite(tmp_path):
     idx = tmp_path / "i.csv"
     sc = tmp_path / "s.csv"
-    idx.write_text("filename,f\na,1\nb,2\nc,3\n", encoding="utf-8")
+    idx.write_text("filename,f\na,1\nb,2\nc,3\nd,4\n", encoding="utf-8")
     sc.write_text(
-        "filename,syntax,vocab\na,1,3\nb,2,4\nc,3,5\n", encoding="utf-8"
+        "filename,syntax,vocab\na,1,3\nb,2,4\nc,3,5\nd,4,\n", encoding="utf-8"
     )
     m = load_feature_matrix(idx, sc, score_columns=["syntax", "vocab"])
-    assert m.target.tolist() == [2.0, 3.0, 4.0]
+    assert m.target.tolist() == [2.0, 3.0, 4.0]  # d, blank in one score column, has no score
 
 
 def test_load_feature_matrix_composite_adds_left_to_right(tmp_path):
@@ -1064,6 +1065,36 @@ def test_run_pipeline_correlates_each_feature_once(tmp_path):
         result = run_pipeline(m)
     assert spy.call_count == 1
     assert result.filtered == bivariate_filter(bivariate_r(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n=st.integers(12, 60),
+    seed=st.integers(0, 2**32 - 1),
+    missing=st.sampled_from([0.0, 0.1]),
+    scaled=st.integers(0, 5),
+    factor=st.sampled_from([4.0, 0.125, 1024.0]),
+)
+def test_scaling_a_column_by_a_power_of_two_scales_only_its_estimate(
+    k, n, seed, missing, scaled, factor
+):
+    # A power-of-two factor scales every float the column enters exactly, so
+    # a rule that is not scale-relative (a tolerance, say) shows as a change
+    # in the bits of some r, VIF survivor, AIC, t, p or LMG share.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, n))
+    x[-1] += rng.uniform(0.0, 4.0) * x[0]  # collinear enough, at times, for VIF to prune
+    y = rng.uniform(-1.0, 1.0, k) @ x + rng.standard_normal(n)
+    x[rng.random((k, n)) < missing] = math.nan
+    ids, names, name = [f"t{i}" for i in range(n)], [f"f{j}" for j in range(k)], f"f{scaled % k}"
+    base = run_pipeline(FeatureMatrix(ids, names, x, y))
+    x[scaled % k] *= factor
+    result = run_pipeline(FeatureMatrix(ids, names, x, y))
+    if result.summary is not None and name in result.summary.estimates:
+        for values in (result.summary.estimates, result.summary.std_errors):
+            values[name] *= factor  # exact, so this undoes an exact division
+    assert repr(asdict(result)) == repr(asdict(base))
 
 
 def test_run_pipeline_constant_target():

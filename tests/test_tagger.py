@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -618,3 +619,37 @@ def test_tag_sentence_numbers_from_its_sentence_index():
     tags = tag_sentence(doc.sentences[3], 3, "a.conllu")
     assert tags == [t for t in tag_document(doc) if t.sentence_index == 3]
     assert [(t.asc_type, t.sentence_index, t.source_id) for t in tags] == [("DITRAN", 3, "a.conllu")]
+
+
+# Lemma text a CoNLL-U field may hold: anything but a tab, a line feed or a
+# carriage return.  Capitals (İ and Σ among them), U+2028 and other
+# characters str.splitlines() breaks at are drawn often.
+lemma_texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("AaGgİΣσς\u2028\x85 "),
+        st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sentences=st.lists(ud_sentences(), min_size=1, max_size=6),
+    lemmas=st.lists(lemma_texts, min_size=1, max_size=8),
+)
+def test_norms_over_drawn_trees_construct_for_any_lemma_text(sentences, lemmas):
+    # Each word's lemma is replaced by the next drawn text, round robin.
+    lines = "\n".join(sentences).split("\n")
+    words = [i for i, line in enumerate(lines) if line]
+    for n, i in enumerate(words):
+        fields = lines[i].split("\t")
+        fields[2] = lemmas[n % len(lemmas)]
+        lines[i] = "\t".join(fields)
+    doc = parse_conllu("\n".join(lines), "d")
+    pairs = Counter(map(AscToken.pair, tag_document(doc)))
+    if not pairs:
+        with pytest.raises(NormTableError, match="empty norm table"):
+            build_norms([doc], "drawn")
+        return
+    assert build_norms([doc], "drawn").pair_counts == pairs
