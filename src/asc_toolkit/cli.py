@@ -311,6 +311,14 @@ def cmd_stats(args) -> int:
     if importlib.util.find_spec("numpy") is None:
         raise ValueError("stats needs numpy, which is not installed: pip install numpy")
     matrix = load_feature_matrix(args.indices_csv, args.scores_csv, score_columns)
+    # Said before the row check, so that a join that fails explains itself.
+    n_indices = matrix.n_rows() + matrix.no_scores_row + matrix.blank_score
+    print(
+        f"joined {matrix.n_rows()} of {n_indices} indices rows: "
+        f"{matrix.no_scores_row} with no scores row, {matrix.blank_score} with a blank score; "
+        f"{matrix.unmatched_scores} scores rows match no indices row",
+        file=sys.stderr,
+    )
     if matrix.n_rows() < 10:
         raise ValueError(f"join produced only {matrix.n_rows()} rows (need >= 10)")
     result = run_pipeline(matrix, r_threshold=args.r_threshold, vif_limit=args.vif_limit)

@@ -20,7 +20,7 @@ from pathlib import Path
 # _field_int.  An id outside it that _SKIPPED_ID matches whole, a multiword
 # range ("3-4") or an empty node ("3.1"), is skipped.
 _SMALL_INTS = {str(i): i for i in range(1024)}
-_SKIPPED_ID = re.compile(r"\d+[-.]\d+")
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
 
 class ConlluError(ValueError):
@@ -91,7 +91,8 @@ def parse_conllu(text: str, source_id: str = "<stream>") -> Document:
 
     Token lines must have exactly 10 tab-separated columns, and the word ids
     of a sentence must run 1, 2, ..., n in order; multiword-token ranges
-    ("3-4") and empty nodes ("3.1") are dropped.  Comment lines and columns
+    ("3-4") and empty nodes ("3.1") are dropped.  Ids and heads are written
+    in ASCII digits.  Comment lines and columns
     other than ID/FORM/LEMMA/UPOS/HEAD/DEPREL are ignored.
 
     A line ends at a line feed, a CRLF or a lone carriage return, as in a
@@ -136,8 +137,8 @@ def parse_conllu(text: str, source_id: str = "<stream>") -> Document:
 
 
 def _field_int(text: str, column: str, lineno: int) -> int:
-    """A word id or head cell as an int; it must be decimal digits, each of which int() reads."""
-    if not text.isdecimal():
+    """A word id or head cell as an int; it must be ASCII decimal digits."""
+    if not (text.isascii() and text.isdecimal()):
         raise ConlluError(f"line {lineno}: malformed token line (non-integer {column} {text!r})")
     return int(text)
 

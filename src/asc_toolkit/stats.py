@@ -11,7 +11,7 @@ import csv
 import math
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -68,12 +68,19 @@ class FeatureMatrix:
     columns is a (len(names), rows) float array, NaN where a feature cell is
     missing; target is a float array with no missing value.  Rows with
     missing values in the columns a given operation uses are dropped there.
+
+    The last three fields count what load_feature_matrix's join left out:
+    indices rows with no scores row, indices rows whose score is blank, and
+    scores rows that match no indices row.
     """
 
     ids: list[str]
     names: list[str]
     columns: np.ndarray
     target: np.ndarray
+    no_scores_row: int = 0
+    blank_score: int = 0
+    unmatched_scores: int = 0
 
     def __post_init__(self) -> None:
         if len(self.ids) != len(self.target):
@@ -235,8 +242,6 @@ def vif_prune(
     """
     import numpy as np
     names = list(matrix.names if names is None else names)
-    if len(names) < 2:
-        return names
     cross, scale = _cross(*matrix.complete(names))
     keep = list(range(len(names)))
     while len(keep) >= 2:
@@ -378,7 +383,7 @@ class RegressionSummary:
     std_errors: dict[str, float]
     t_values: dict[str, float]
     p_values: dict[str, float]
-    lmg_shares: dict[str, float] | None  # sum to r_squared; None unless 1 <= k <= MAX_LATTICE
+    lmg_shares: dict[str, float] | None  # sum to r_squared ({} at k = 0); None above MAX_LATTICE
     r_squared: float
     adj_r_squared: float
     residual_se: float
@@ -512,7 +517,7 @@ def ols_fit(matrix: FeatureMatrix, names: list[str] | None = None) -> Regression
         std_errors={lab: float(s) for lab, s in zip(labels, se)},
         t_values={lab: float(t) for lab, t in zip(labels, t_vals)},
         p_values=dict(zip(labels, p_vals)),
-        lmg_shares=_lmg_shares(cross, scale, names) if 1 <= k <= MAX_LATTICE else None,
+        lmg_shares=_lmg_shares(cross, scale, names) if k <= MAX_LATTICE else None,
         r_squared=r2,
         adj_r_squared=adj_r2,
         residual_se=math.sqrt(sigma2),
@@ -607,7 +612,17 @@ def _keyed_rows(reader, path: str | Path, names: list[str]) -> Iterator[tuple[in
 
 
 def _read_cells(path: str | Path, line: int, names: Sequence[str], cells: list[str]) -> list[float]:
-    """A row's cells read as floats, NaN where blank; any other cell must be a finite number."""
+    """A row's cells read as floats, NaN where blank; any other cell must be a finite number.
+
+    A number is ASCII with no "_": float() would also read 1_0, full-width
+    and Arabic-Indic digits.  The row is checked whole, and a cell by itself
+    only in a row that fails.
+    """
+    joined = "".join(cells)
+    if not joined.isascii() or "_" in joined:
+        j = next(j for j, text in enumerate(cells) if not text.isascii() or "_" in text)
+        _read_cells(path, line, names[:j], cells[:j])  # a bad cell before it is named first
+        raise _csv_error(path, line, names[j], f"non-numeric value {cells[j]!r}")
     values = []
     for name, text in zip(names, cells):
         if not text:
@@ -632,16 +647,18 @@ def load_feature_matrix(
 
     The target is the mean of the score_columns (at least one), added left
     to right.  A row with a blank score cell has no score and is excluded;
-    a blank index cell is missing (NaN).  A repeated column name, a row
+    a blank index cell is missing (NaN).  The matrix counts the rows the
+    join left out.  A repeated column name, a row
     with fewer or more cells than its header, a duplicate filename, or a
-    cell in either file that is neither blank nor a finite number is a
-    ValueError naming the file, the line and the column.  Blank lines
+    cell in either file that is neither blank nor a finite number (ASCII,
+    no "_") is a ValueError naming the file, the line and the column.  Blank lines
     are skipped.  Both files are UTF-8 and may start with a byte order mark;
     a byte that is not UTF-8 is a ValueError naming the file.
     """
     if not score_columns:
         raise ValueError("no score column named")
     scores: dict[str, float] = {}
+    blank: set[str] = set()  # filenames whose score is blank
     with _csv_rows(scores_csv) as reader:
         header = _header(reader, scores_csv, "scores")
         missing = [c for c in score_columns if c not in header]
@@ -651,12 +668,15 @@ def load_feature_matrix(
         for line, key, row in _keyed_rows(reader, scores_csv, header):
             cells = [row[j] for j in wanted_at]
             vals = _read_cells(scores_csv, line, score_columns, cells)
-            if "" not in cells:  # a blank score cell means no score
+            if "" in cells:  # a blank score cell means no score
+                blank.add(key)
+            else:
                 scores[key] = reduce(add, vals, 0.0) / len(vals)  # left to right, as indices' means
 
     ids: list[str] = []
     target: list[float] = []
     flat = array("d")  # one buffer, and numpy imported after the loop: both keep peak memory down
+    no_scores_row = blank_score = 0
     with _csv_rows(indices_csv) as reader:
         header = _header(reader, indices_csv, "indices")
         key_at = header.index(JOIN_COLUMN)
@@ -668,9 +688,17 @@ def load_feature_matrix(
                 ids.append(key)
                 target.append(scores[key])
                 flat.extend(values)
+            elif key in blank:
+                blank_score += 1
+            else:
+                no_scores_row += 1
     import numpy as np
     columns = np.frombuffer(flat).reshape(len(ids), len(feature_names)).T
-    return FeatureMatrix(ids, feature_names, columns, np.array(target))
+    # Filenames are unique in each file, so a scores row matches one indices row at most.
+    unmatched = len(scores) + len(blank) - len(ids) - blank_score
+    return FeatureMatrix(
+        ids, feature_names, columns, np.array(target), no_scores_row, blank_score, unmatched
+    )
 
 
 @dataclass
@@ -680,11 +708,11 @@ class PipelineResult:
     vif_limit: float
     r_by_name: dict[str, float | None]
     filtered: list[str]  # survivors of the bivariate filter
+    excluded_sparse: list[str]  # of filtered, in the order excluded
     n_dropped_missing: int
     vif_kept: list[str]
-    selection: AicSelection | None
-    summary: RegressionSummary | None
-    notes: list[str] = field(default_factory=list)
+    selection: AicSelection
+    summary: RegressionSummary
 
 
 def run_pipeline(
@@ -692,7 +720,10 @@ def run_pipeline(
     r_threshold: float = 0.10,
     vif_limit: float = 5.0,
 ) -> PipelineResult:
-    """Filter, prune, select and fit; mirrors the reporting workflow end to end."""
+    """Filter, prune, select and fit; mirrors the reporting workflow end to end.
+
+    With no candidate left, the model is the intercept alone, fitted on every row.
+    """
     import numpy as np
     y = matrix.target
     yc = y - y.mean() if len(y) else y  # an empty score has no spread either
@@ -700,10 +731,10 @@ def run_pipeline(
         raise ValueError("constant vector: the score does not vary")
     r_by_name = bivariate_r(matrix)
     filtered = bivariate_filter(r_by_name, r_threshold)
-    notes: list[str] = []
     # Listwise completion can starve the model when sparse per-type indices
     # pass the filter; exclude the sparsest candidates until enough complete
-    # rows remain for the largest possible model.
+    # rows remain for the largest possible model.  A feature with an r has 3
+    # rows at least, so the last candidate always stays.
     modeling = list(filtered)
     excluded_sparse: list[str] = []
     missing = dict(zip(matrix.names, np.isnan(matrix.columns).sum(axis=1).tolist()))
@@ -713,35 +744,20 @@ def run_pipeline(
         modeling.remove(worst)
         excluded_sparse.append(worst)
         complete = matrix.restrict(modeling)
-    if excluded_sparse:
-        notes.append(
-            "excluded as too sparse to model: " + ", ".join(excluded_sparse)
-        )
-    vif_kept: list[str] = []
-    selection = summary = None
-    if not filtered:
-        notes.append("no feature passed the bivariate filter; intercept-only model")
-    elif not modeling:
-        notes.append("no candidate feature had enough complete rows; no model fitted")
-    else:
-        vif_kept = vif_prune(complete, limit=vif_limit)
-        if len(vif_kept) < len(modeling):
-            dropped = [n for n in modeling if n not in vif_kept]
-            notes.append("dropped for collinearity: " + ", ".join(dropped))
-        selection = aic_select(complete, vif_kept)
-        summary = ols_fit(complete, list(selection.best))
+    vif_kept = vif_prune(complete, limit=vif_limit)
+    selection = aic_select(complete, vif_kept)
     return PipelineResult(
         n_rows=matrix.n_rows(),
         r_threshold=r_threshold,
         vif_limit=vif_limit,
         r_by_name=r_by_name,
         filtered=filtered,
-        # restrict([]) keeps every row, so no model means no drop
+        excluded_sparse=excluded_sparse,
+        # restrict([]) keeps every row, so no candidate means no drop
         n_dropped_missing=matrix.n_rows() - complete.n_rows(),
         vif_kept=vif_kept,
         selection=selection,
-        summary=summary,
-        notes=notes,
+        summary=ols_fit(complete, list(selection.best)),
     )
 
 
@@ -769,23 +785,26 @@ def format_report(result: PipelineResult) -> str:
         f"{len(result.filtered)} retained"
     )
     lines.append(f"Rows dropped for missing values: {result.n_dropped_missing}")
-    if result.selection is not None:
-        lines.append(
-            f"Collinearity pruning (VIF < {result.vif_limit:g}): "
-            f"{len(result.vif_kept)} candidates entered model selection"
-        )
-        lines.append(
-            f"Model selection: {len(result.selection.candidates)} of "
-            f"{result.selection.n_models} models within delta-AIC < {AIC_DELTA:g} "
-            f"(best AIC = {result.selection.best_aic:.3f})"
-        )
-    for note in result.notes:
-        lines.append(f"Note: {note}")
+    lines.append(
+        f"Collinearity pruning (VIF < {result.vif_limit:g}): "
+        f"{len(result.vif_kept)} candidates entered model selection"
+    )
+    lines.append(
+        f"Model selection: {len(result.selection.candidates)} of "
+        f"{result.selection.n_models} models within delta-AIC < {AIC_DELTA:g} "
+        f"(best AIC = {result.selection.best_aic:.3f})"
+    )
+    if result.excluded_sparse:
+        lines.append("Note: excluded as too sparse to model: " + ", ".join(result.excluded_sparse))
+    dropped = [n for n in result.filtered if n not in result.excluded_sparse + result.vif_kept]
+    if dropped:
+        lines.append("Note: dropped for collinearity: " + ", ".join(dropped))
+    # The sparse exclusion keeps one candidate at least, so this is the one
+    # way to an empty model.
+    if not result.filtered:
+        lines.append("Note: no feature passed the bivariate filter; intercept-only model")
     lines.append("")
     summary = result.summary
-    if summary is None:
-        lines.append("No model fitted.")
-        return "\n".join(lines) + "\n"
     lines.append(f"Selected model ({summary.df_model} predictors, n = {summary.n_obs})")
     lines.append("-" * 72)
     lines.append(

@@ -178,3 +178,40 @@ def make_diverse_text(seed: int, n_sentences: int, diversity: float) -> str:
         t: (1.0 - diversity) * concentrated[t] + diversity * uniform[t] for t in VERBS
     }
     return make_corpus(seed, n_sentences, type_weights=weights, verb_flat=diversity)
+
+
+# Filler for the columns the parser reads past.
+_FEATS = ["_", "Number=Sing", "Mood=Ind|Tense=Past|VerbForm=Fin"]
+_MISC = ["_", "SpaceAfter=No", "Gloss=x|SpaceAfter=No"]
+
+
+def write_conllu(doc, rng: random.Random) -> str:
+    """A parsed Document written back as CoNLL-U text that parses to the same rows.
+
+    Around the words it writes what the parser reads past, drawn from rng:
+    comment lines, multiword ranges, empty nodes (one before the first word
+    too), and filled XPOS, FEATS, DEPS and MISC columns.  Each line ends in
+    LF, CRLF or a lone CR.  It draws from its own rng only, so the other
+    generators' output is untouched.
+    """
+    lines = []
+    for k, sentence in enumerate(doc.sentences, start=1):
+        text = " ".join(row[1] for row in sentence.rows)
+        lines += [f"# sent_id = {k}", f"# text = {text}"][: rng.randint(0, 2)]
+        if rng.random() < 0.2:
+            lines.append("0.1\tghost\tghost\tVERB\t_\t_\t_\t_\t0:root\t_")
+        for word_id, form, lemma, upos, head, deprel in sentence.rows:
+            if word_id < len(sentence.rows) and rng.random() < 0.2:
+                lines.append(f"{word_id}-{word_id + 1}\t{form}{form}\t_\t_\t_\t_\t_\t_\t_\t_")
+            xpos = rng.choice(["_", upos.lower(), "NN"])
+            cells = [word_id, form, lemma, upos, xpos, rng.choice(_FEATS), head, deprel]
+            lines.append("\t".join(map(str, cells + [f"{head}:{deprel}", rng.choice(_MISC)])))
+            if rng.random() < 0.2:
+                lines.append(f"{word_id}.1\tghost\tghost\tVERB\t_\t_\t_\t_\t{word_id}:nsubj\t_")
+        lines.append("")
+    out, end = [], "\n"
+    for line in lines:
+        # A lone CR and then an empty line's LF would read as one CRLF.
+        end = rng.choice(["\r\n", "\r"] if not line and end == "\r" else ["\n", "\r\n", "\r"])
+        out.append(line + end)
+    return "".join(out)

@@ -1081,12 +1081,19 @@ sys.exit(cli.main(["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(
         ("scores", 1, "filename,grade", None, "scores CSV lacks column(s): score"),
         ("scores", 6, 't4,"5,12"', "score", "non-numeric value '5,12'"),
         ("scores", 8, "t6,n/a", "score", "non-numeric value 'n/a'"),
+        # float() reads these three; a number in either CSV is ASCII with no "_".
+        ("scores", 11, "t9,1_0", "score", "non-numeric value '1_0'"),
+        ("indices", 11, "t9,9,\uff11\uff10", "beta", "non-numeric value '\uff11\uff10'"),
+        ("indices", 12, "t10,\u0665,1", "alpha", "non-numeric value '\u0665'"),
+        # The first bad cell of a row is named, whatever is wrong with a later one.
+        ("indices", 13, "t11,x,1_0", "alpha", "non-numeric value 'x'"),
     ],
     ids=[
         "index-nan", "index-inf", "score-inf", "index-text", "score-dup", "index-dup",
         "index-dup-column", "score-dup-column", "index-short-row", "index-long-row",
         "score-short-row", "score-long-row", "index-no-filename-column", "score-no-score-column",
-        "score-decimal-comma", "score-text",
+        "score-decimal-comma", "score-text", "score-underscore", "index-full-width",
+        "index-arabic-indic", "index-text-before-underscore",
     ],
 )
 def test_stats_rejects_bad_csv_naming_file_line_column(
@@ -1192,8 +1199,47 @@ def test_stats_header_only_indices_csv_joins_no_row(tmp_path, capsys):
     scores = "filename,score\n" + "".join(f"t{i},{i}\n" for i in range(12))
     rc, _, report = run_stats(tmp_path, "filename,alpha,beta\n", scores)
     assert rc == 2
-    assert "join produced only 0 rows (need >= 10)" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    # The join is said before the row check that stops the run.
+    assert err == [
+        "joined 0 of 0 indices rows: 0 with no scores row, 0 with a blank score; "
+        "12 scores rows match no indices row",
+        "error: join produced only 0 rows (need >= 10)",
+    ]
     assert not report.exists()
+
+
+def test_stats_says_what_its_join_left_out(tmp_path, capsys):
+    rng = random.Random(3)
+    rows = [(f"t{i}.conllu", i % 7, rng.gauss(0, 1), 2 * i + rng.gauss(0, 3)) for i in range(40)]
+    indices = "filename,alpha,beta\n" + "".join(f"{f},{a},{b!r}\n" for f, a, b, _ in rows)
+    # 8 scores rows name their text without its .conllu suffix.
+    stripped = {f for f, *_ in rows[::5]}
+    scores = "filename,score\n" + "".join(
+        f"{f.removesuffix('.conllu') if f in stripped else f},{s!r}\n" for f, _, _, s in rows
+    )
+    rc, _, report = run_stats(tmp_path, indices, scores)
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "joined 32 of 40 indices rows: 8 with no scores row, 0 with a blank score; "
+        "8 scores rows match no indices row"
+    ]
+    text = report.read_text(encoding="utf-8")
+    assert "Correlations with score (32 texts)" in text
+    # The report is the one the 32 rows that join give by themselves.
+    joined = "filename,alpha,beta\n" + "".join(
+        f"{f},{a},{b!r}\n" for f, a, b, _ in rows if f not in stripped
+    )
+    assert run_stats(tmp_path, joined, scores)[0] == 0
+    assert report.read_text(encoding="utf-8") == text
+    capsys.readouterr()
+    # A blank score leaves its indices row out too, and is counted apart.
+    blanked = scores.replace(f"\n{rows[1][0]},{rows[1][3]!r}\n", f"\n{rows[1][0]},\n")
+    assert run_stats(tmp_path, indices, blanked)[0] == 0
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "joined 31 of 40 indices rows: 8 with no scores row, 1 with a blank score; "
+        "8 scores rows match no indices row"
+    )
 
 
 def test_stats_indices_csv_with_only_filename_loads(tmp_path):
@@ -1203,7 +1249,11 @@ def test_stats_indices_csv_with_only_filename_loads(tmp_path):
     assert rc == 0
     text = report.read_text(encoding="utf-8")
     assert "Correlations with score (12 texts)" in text
-    assert "No model fitted." in text
+    # No candidate: the model is the intercept alone, whose estimate is the mean score.
+    assert "\nModel selection: 1 of 1 models " in text
+    assert "\nSelected model (0 predictors, n = 12)\n" in text
+    intercept = next(line for line in text.splitlines() if line.startswith("(Intercept) "))
+    assert intercept.split()[1] == "5.5000"
 
 
 def test_unknown_subcommand_flag_is_usage_error(capsys):

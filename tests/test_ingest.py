@@ -63,7 +63,12 @@ def test_ranges_and_empty_nodes_skipped():
 SKIPPED_IDS = ["1-2", "10-11", "2.1", "12.1"]
 
 
-@pytest.mark.parametrize("tok_id", SKIPPED_IDS + ["3-", "3..1", "3-4-5", "1e3", "-1", "1.", ".1"])
+# The last three are Python decimals but not ASCII digits: full-width 2 and Arabic-Indic 2, 3-4.
+@pytest.mark.parametrize(
+    "tok_id",
+    SKIPPED_IDS
+    + ["3-", "3..1", "3-4-5", "1e3", "-1", "1.", ".1", "\uff12", "\u0662", "\u0663-\u0664"],
+)
 def test_only_a_whole_range_or_empty_node_id_is_skipped(tok_id):
     text = f"{tok_id}\tx\tx\tX\t_\t_\t_\t_\t_\t_\n" + BARKED
     if tok_id in SKIPPED_IDS:
@@ -338,13 +343,12 @@ def test_non_decimal_unicode_digits_are_rejected_with_the_line():
         parse_conllu(good + "2\tdog\tdog\tNOUN\t_\t_\t²\troot\t_\t_\n")
 
 
-def test_decimal_digits_of_other_scripts_are_integers():
-    # Arabic-Indic one and two; \d and int() both accept them.
-    doc = parse_conllu(
-        "١\tThe\tthe\tDET\t_\t_\t٢\tdet\t_\t_\n"
-        "2\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n"
-    )
-    assert [(t.id, t.head) for t in doc.sentences[0].tokens] == [(1, 2), (2, 0)]
+def test_decimal_digits_of_other_scripts_are_rejected_with_the_line():
+    # Arabic-Indic and full-width two: \d and int() read them, but heads are
+    # ASCII (ids: test_only_a_whole_range_or_empty_node_id_is_skipped).
+    for two in ("\u0662", "\uff12"):
+        with pytest.raises(ConlluError, match=f"line 1: .*non-integer head '{two}'"):
+            parse_conllu(f"1\tThe\tthe\tDET\t_\t_\t{two}\tdet\t_\t_\n")
 
 
 def test_analyze_warns_about_a_superscript_id_and_goes_on(frames_dir, tmp_path, capsys):

@@ -271,10 +271,16 @@ def test_nan_matrix_agrees_with_plain_list_oracles(n, k, seed, fortran):
     # most missing cells, the later on ties, until the complete rows suffice.
     modeling = bivariate_filter(want_r, 0.0)
     missing = {name: cols[name].count(None) for name in modeling}
+    excluded = []
     while modeling and len(complete_rows(modeling)) < max(3, len(modeling) + 2):
-        modeling.remove(max(modeling, key=lambda name: (missing[name], modeling.index(name))))
+        excluded.append(max(modeling, key=lambda name: (missing[name], modeling.index(name))))
+        modeling.remove(excluded[-1])
     result = run_pipeline(m, r_threshold=0.0)
+    assert result.excluded_sparse == excluded
     assert result.n_dropped_missing == n - len(complete_rows(modeling))
+    # A candidate with an r has 3 rows at least, so the exclusion keeps one.
+    assert bool(result.vif_kept) == bool(modeling) == bool(result.filtered)
+    assert result.summary.n_obs == n - result.n_dropped_missing
 
 
 # --- VIF --------------------------------------------------------------------
@@ -700,7 +706,7 @@ def test_ols_lmg_sums_to_r_squared_random_design():
     assert sum(fit.lmg_shares.values()) == pytest.approx(fit.r_squared, abs=1e-9)
 
 
-@pytest.mark.parametrize("k", [16, stats.MAX_LATTICE])
+@pytest.mark.parametrize("k", [16, stats.MAX_LATTICE, 0])
 def test_ols_lmg_up_to_lattice_width_sums_to_r_squared(k):
     rng = np.random.default_rng(k)
     n = 200
@@ -709,6 +715,8 @@ def test_ols_lmg_up_to_lattice_width_sums_to_r_squared(k):
     fit = ols_fit(matrix_from({f"f{j}": x[:, j].tolist() for j in range(k)}, y.tolist()))
     assert len(fit.lmg_shares) == k
     assert abs(sum(fit.lmg_shares.values()) - fit.r_squared) <= 1e-12
+    if k == 0:
+        assert fit.lmg_shares == {} and fit.r_squared == 0.0
 
 
 def test_no_lmg_above_lattice_width():
@@ -994,6 +1002,27 @@ def test_load_feature_matrix_empty_cells_become_missing(tmp_path):
     assert m.ids == ["a", "b", "c", "e"]  # a blank score drops its row
 
 
+def test_load_feature_matrix_counts_the_rows_its_join_left_out(tmp_path):
+    # d's score is blank, x has no scores row, and y and z (blank) match no text.
+    idx = tmp_path / "i.csv"
+    sc = tmp_path / "s.csv"
+    idx.write_text("filename,f\na,1\nb,2\nd,3\nx,4\n", encoding="utf-8")
+    sc.write_text("filename,score\na,1\nb,2\nd,\ny,5\nz,\n", encoding="utf-8")
+    m = load_feature_matrix(idx, sc)
+    assert m.ids == ["a", "b"]
+    assert (m.no_scores_row, m.blank_score, m.unmatched_scores) == (1, 1, 2)
+
+
+def test_load_feature_matrix_reads_ascii_signs_spaces_and_exponents(tmp_path):
+    idx = tmp_path / "i.csv"
+    sc = tmp_path / "s.csv"
+    idx.write_text("filename,f\na,+5\nb, 5\nc,1e3\nd,-2.5E-1\n", encoding="utf-8")
+    sc.write_text("filename,score\na,1\nb,2\nc, +3 \nd,4\n", encoding="utf-8")
+    m = load_feature_matrix(idx, sc)
+    assert m.columns.tolist() == [[5.0, 5.0, 1000.0, -0.25]]
+    assert m.target.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
 def test_load_feature_matrix_accepts_bom(tmp_path):
     idx = tmp_path / "i.csv"
     sc = tmp_path / "s.csv"
@@ -1095,6 +1124,46 @@ def test_scaling_a_column_by_a_power_of_two_scales_only_its_estimate(
         for values in (result.summary.estimates, result.summary.std_errors):
             values[name] *= factor  # exact, so this undoes an exact division
     assert repr(asdict(result)) == repr(asdict(base))
+
+
+def test_run_pipeline_without_a_candidate_fits_the_intercept_on_every_row():
+    rng = random.Random(27)
+    target = [rng.gauss(5.0, 2.0) for _ in range(12)]
+    f = feature_with_r(rng, target, 0.5)
+    f[3] = f[8] = None  # a missing cell drops no row when f is not modelled
+    result = run_pipeline(matrix_from({"f": f}, target), r_threshold=1.0)
+    assert result.filtered == result.excluded_sparse == result.vif_kept == []
+    assert result.n_dropped_missing == 0
+    selection, summary = result.selection, result.summary
+    tss = float(sum((t - np.mean(target)) ** 2 for t in target))
+    assert (selection.best, selection.n_models) == ((), 1)
+    assert selection.candidates == [((), selection.best_aic)]
+    assert selection.best_aic == pytest.approx(aic(12, tss, 0), rel=1e-12)
+    assert (summary.predictors, summary.df_model, summary.n_obs) == ([], 0, 12)
+    assert summary.estimates["(Intercept)"] == pytest.approx(np.mean(target), rel=1e-12)
+    assert (summary.r_squared, summary.lmg_shares, summary.f_statistic) == (0.0, {}, None)
+    report = format_report(result)
+    assert "\nModel selection: 1 of 1 models " in report
+    assert "\nNote: no feature passed the bivariate filter; intercept-only model\n" in report
+    assert "\nSelected model (0 predictors, n = 12)\n" in report
+
+
+def test_sparse_exclusion_keeps_the_last_candidate():
+    # a, b and c each hold 3 of the 9 rows, so no two share a complete row.
+    # Tied on missing cells, the later goes first: c, then b; a stays.
+    cols = {
+        "a": [1.0, 2.0, 4.0] + [None] * 6,
+        "b": [None] * 3 + [3.0, 1.0, 2.0] + [None] * 3,
+        "c": [None] * 6 + [2.0, 5.0, 3.0],
+    }
+    target = [1.0, 3.0, 4.0, 6.0, 2.0, 5.0, 2.0, 9.0, 4.0]
+    result = run_pipeline(matrix_from(cols, target), r_threshold=0.0)
+    assert result.filtered == ["a", "b", "c"]
+    assert result.excluded_sparse == ["c", "b"]
+    assert result.vif_kept == ["a"]
+    assert (result.n_dropped_missing, result.summary.n_obs) == (6, 3)
+    notes = [line for line in format_report(result).splitlines() if line.startswith("Note: ")]
+    assert notes == ["Note: excluded as too sparse to model: c, b"]
 
 
 def test_run_pipeline_constant_target():

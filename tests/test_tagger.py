@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import corpusgen
 from asc_toolkit import cli
+from asc_toolkit.indices import IndexConfig
 from asc_toolkit.ingest import Document, parse_conllu, parse_conllu_file
 from asc_toolkit.norms import NormTableError, build_norms, contingency, load_norms, save_norms
 from asc_toolkit.tagger import (
@@ -505,6 +507,43 @@ def test_drawn_trees_analyze_the_same_with_one_and_two_jobs(tmp_path, capsys):
         outputs[jobs] = (csv_path.read_bytes(), tags_path.read_bytes())
     assert outputs["1"] == outputs["2"]
     assert len(outputs["1"][0].decode().splitlines()) == 9
+
+
+@settings(max_examples=100, deadline=None)
+@given(sentences=st.lists(ud_sentences(), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_written_conllu_parses_back_to_the_same_rows_tags_and_analyze_row(
+    sentences, seed, tmp_path_factory
+):
+    doc = parse_conllu("\n".join(sentences), "t.conllu")
+    text = corpusgen.write_conllu(doc, random.Random(seed))
+    reread = parse_conllu(text, "t.conllu")
+    assert [(s.rows, s.dep_rows) for s in reread.sentences] == [
+        (s.rows, s.dep_rows) for s in doc.sentences
+    ]
+    assert tag_document(reread) == tag_document(doc)
+    base = tmp_path_factory.getbasetemp()
+    norm = load_norms(cli.resolve_source("demo"))
+    analyze = functools.partial(cli._analyze_one, norm, IndexConfig(), True)  # row, warning, tags
+    (base / "plain.conllu").write_text("\n".join(sentences), encoding="utf-8")
+    want = analyze(("t.conllu", base / "plain.conllu"))
+    assert want[0] is not None
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (base / "written.conllu").write_bytes(bom + text.encode("utf-8"))
+        assert analyze(("t.conllu", base / "written.conllu")) == want
+
+
+def test_write_conllu_writes_what_the_parser_reads_past():
+    # Enough sentences that each kind of line, and each line end, turns up.
+    doc = parse_conllu(corpusgen.make_corpus(seed=5, n_sentences=20), "t")
+    text = corpusgen.write_conllu(doc, random.Random(5))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    ids = [line.split("\t")[0] for line in lines if line and line[0] != "#"]
+    assert any(line.startswith("# text = ") for line in lines)
+    assert any("-" in i for i in ids) and any("." in i for i in ids) and "0.1" in ids
+    lone = text.replace("\r\n", "")
+    assert "\r\n" in text and "\r" in lone and "\n" in lone  # CRLF, a lone CR and a lone LF
+    assert any(line.split("\t")[4:6] != ["_", "_"] for line in lines if line[:1].isdigit())
+    assert parse_conllu(text, "t").sentences == doc.sentences
 
 
 def test_frame_table_oracle_draws_no_copula_subtype():
