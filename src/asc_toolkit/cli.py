@@ -21,11 +21,12 @@ import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Container, Iterator, TextIO
 
 from .indices import INDEX_NAMES, IndexConfig, compute_from_tags
-from .ingest import ConlluError, parse_conllu_file
+from .ingest import ConlluError, parse_conllu_file, read_conllu_chunks
 from .norms import NormTable, NormTableError, build_norms, load_norms, save_norms
 from .stats import JOIN_COLUMN, format_report, load_feature_matrix, run_pipeline
 from .tagger import debug_lines, tag_document
@@ -284,7 +285,8 @@ def cmd_build_norms(args) -> int:
     corpus_dir = Path(args.corpus_dir)
     files, text_ids = discover_files(corpus_dir, args.recursive)
     _check_outputs(outputs, text_ids)
-    documents = (parse_conllu_file(path, key) for key, path in files)
+    # Chunks of whole sentences, so no file's parse is held whole; chain holds no chunk.
+    documents = chain.from_iterable(read_conllu_chunks(path, key) for key, path in files)
     # abspath makes `.` and `sub/..` name their directory, without following a symlink.
     label = args.label if args.label is not None else os.path.basename(os.path.abspath(corpus_dir))
     # --out is written inside the block, so a failure there leaves --debug-tags as it was.

@@ -112,8 +112,10 @@ def build_norms(
 ) -> NormTable:
     """Tag every document and accumulate pair counts into a NormTable.
 
-    With a debug sink, each document's tagged-token stream is written to it
-    as the document is counted.
+    A document may be one chunk of a file (ingest.read_conllu_chunks), so a
+    file's parse need never be held whole.  With a debug sink, each
+    document's tagged-token stream is written to it as the document is
+    counted.
     """
     pair_counts: Counter[tuple[str, str]] = Counter()
     for doc in documents:

@@ -82,8 +82,12 @@ def tag_sentence(sentence: Sentence, sentence_index: int = 0, source_id: str = "
 
 
 def tag_document(doc: Document) -> list[AscToken]:
-    """Tag every sentence of the document, in sentence order, as tag_sentence does."""
-    return _tag(doc.sentences, 0, doc.source_id)
+    """Tag every sentence of the document, in sentence order, as tag_sentence does.
+
+    Sentences are numbered from doc.first_sentence, so a chunk's tags carry
+    their sentences' indices in the whole file.
+    """
+    return _tag(doc.sentences, doc.first_sentence, doc.source_id)
 
 
 def _tag(sentences: list[Sentence], first_index: int, source_id: str) -> list[AscToken]:
