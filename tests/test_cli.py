@@ -6,13 +6,14 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import corpusgen
-from asc_toolkit import cli
+from asc_toolkit import cli, ingest
 from asc_toolkit.indices import INDEX_NAMES, IndexConfig, compute_all
 from asc_toolkit.ingest import parse_conllu_file
 from asc_toolkit.norms import load_norms
@@ -652,13 +653,13 @@ def test_directories_named_conllu_are_not_texts(frames_dir, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: no .conllu files found in {only_dirs}\n"
 
 
-def _unreachable_after(argv):
-    """Objects the cyclic collector frees after a successful main(argv) run with it off."""
+def _unreachable_after(argv, rc=0):
+    """Objects the cyclic collector frees after a main(argv) run that exits rc, with it off."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == rc
         return gc.collect()
     finally:
         if was_enabled:
@@ -781,6 +782,53 @@ def test_build_norms_parse_error_names_the_file(frames_dir, tmp_path, capsys, co
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: sub/bad.conllu: {problem}")
     assert not out.exists()
+
+
+def test_build_norms_error_in_a_later_chunk_names_the_line_of_the_file(
+    frames_dir, tmp_path, capsys
+):
+    corpus = copy_frames(frames_dir, tmp_path / "corpus", ["attr"])
+    lines = corpusgen.make_diverse_text(seed=0, n_sentences=2000, diversity=1.0).split("\n")
+    bad = max(i for i, line in enumerate(lines) if line)  # the last word's line, from 0
+    assert len("\n".join(lines[:bad])) > 20 * ingest.CHUNK_CHARS
+    lines[bad] = lines[bad].rsplit("\t", 1)[0]
+    (corpus / "z_big.conllu").write_text("\n".join(lines), encoding="utf-8")
+    out, dbg = tmp_path / "n.tsv", tmp_path / "t.tsv"
+    out.write_bytes(b"old norms\n")
+    dbg.write_bytes(b"old tags\n")
+    argv = ["build-norms", "--corpus-dir", str(corpus), "--out", str(out), "--debug-tags", str(dbg)]
+    unreachable = _unreachable_after(argv, cli.EXIT_DATA)
+    assert capsys.readouterr().err == (
+        f"error: z_big.conllu: line {bad + 1}: malformed token line (9 columns, expected 10)\n"
+    )
+    assert (out.read_bytes(), dbg.read_bytes()) == (b"old norms\n", b"old tags\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "n.tsv", "t.tsv"]
+    # The chunks counted before the error leave no more cyclic garbage than a run that succeeds.
+    (corpus / "z_big.conllu").unlink()
+    assert _unreachable_after(argv) == unreachable
+
+
+def test_build_norms_holds_the_parse_of_a_chunk_not_of_a_file(tmp_path, capsys):
+    # The text of a file is read whole; what the command holds beyond that
+    # read is bounded by the chunk size, whatever the file's size.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "big.conllu"
+    text = corpusgen.make_diverse_text(seed=0, n_sentences=2000, diversity=1.0)
+    path.write_text(text, encoding="utf-8")
+    assert path.stat().st_size > 20 * ingest.CHUNK_CHARS
+    argv = ["build-norms", "--corpus-dir", str(corpus), "--out", str(tmp_path / "n.tsv")]
+    tracemalloc.start()
+    try:
+        path.read_text(encoding="utf-8-sig")
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 12 chunks' worth on CPython 3.11; a whole-file parse here is over 300.
+    assert peak - read_peak < 32 * ingest.CHUNK_CHARS
 
 
 def write_stats_csvs(tmp_path, n=200, seed=7):

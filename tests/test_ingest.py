@@ -1,11 +1,24 @@
+import io
 import random
+import re
+from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asc_toolkit import cli
-from asc_toolkit.ingest import ConlluError, Token, parse_conllu, parse_conllu_file
+import corpusgen
+from asc_toolkit import cli, ingest
+from asc_toolkit.ingest import (
+    ConlluError,
+    Token,
+    parse_conllu,
+    parse_conllu_file,
+    read_conllu_chunks,
+)
+from asc_toolkit.norms import build_norms
+from asc_toolkit.tagger import tag_document
 from test_tagger import ud_sentences
 
 BARKED = """\
@@ -467,3 +480,126 @@ def test_validator_agrees_with_the_cycle_walk(graph, index):
         if t.head != 0:
             deps[t.head] = (deps[t.head] or []) + [t]
     assert sentence.deps == deps
+
+
+# Chunk sizes small enough that a drawn text spans many chunks: 1 cuts at
+# every empty line, so each chunk holds one sentence.
+TINY_CHUNKS = [1, 200]
+
+
+def _read_chunks(path, size):
+    """The chunks read_conllu_chunks yields for path with CHUNK_CHARS size, and its error or None."""
+    chunks = []
+    with mock.patch.object(ingest, "CHUNK_CHARS", size):
+        try:
+            for chunk in read_conllu_chunks(path, "t.conllu"):
+                chunks.append(chunk)
+        except ConlluError as exc:
+            return chunks, str(exc)
+    return chunks, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sentences=st.lists(ud_sentences(), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    bom=st.booleans(),
+)
+def test_chunks_parse_and_tag_as_the_whole_text(sentences, seed, bom, tmp_path_factory):
+    # write_conllu adds comments, ranges, empty nodes and LF, CRLF and lone-CR line ends.
+    text = corpusgen.write_conllu(parse_conllu("\n".join(sentences)), random.Random(seed))
+    path = tmp_path_factory.getbasetemp() / "chunked.conllu"
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
+    whole = parse_conllu(text, "t.conllu")
+    want_tags = tag_document(whole)
+    for size in TINY_CHUNKS:
+        chunks, error = _read_chunks(path, size)
+        assert error is None
+        if size == 1:
+            assert len(chunks) == len(whole.sentences)
+        sizes = [len(c.sentences) for c in chunks]
+        assert [c.first_sentence for c in chunks] == [0, *accumulate(sizes)][: len(chunks)]
+        assert [s for c in chunks for s in c.sentences] == whole.sentences
+        with mock.patch.object(ingest, "CHUNK_CHARS", size):
+            assert parse_conllu_file(path, "t.conllu") == whole
+        # Tags carry the sentence indices of the whole file.
+        assert [t for c in chunks for t in tag_document(c)] == want_tags
+        if want_tags:
+            sinks = io.StringIO(), io.StringIO()
+            assert build_norms(chunks, "t", sinks[0]) == build_norms([whole], "t", sinks[1])
+            assert sinks[0].getvalue() == sinks[1].getvalue()
+
+
+# The id of a multiword range or an empty node, which the parser skips.
+SKIPPED_ID = r"[0-9]+[-.][0-9]+"
+
+# Each way to break a word of a sentence, and the error it gives.
+BREAKS = {
+    "columns": "malformed token line (9 columns, expected 10)",
+    "id": "malformed token line (non-integer id",
+    "head": "malformed token line (non-integer head",
+    "missing-head": "points to missing token",
+    "second-root": "multiple root tokens",
+    "headless": "headless sentence (no head=0 token)",
+    "cycle": "cyclic dependency structure",
+}
+
+
+def _break_sentence(text, k, kind, rng):
+    """text with a word of its sentence k (from 0) broken as BREAKS[kind] says; line ends kept."""
+    pieces = re.split(r"(\r\n|\r|\n)", text)  # lines at even indices, their ends at odd ones
+    words, sentence = [], 0  # words: (index in pieces, fields) of sentence k's words
+    for i in range(0, len(pieces), 2):
+        fields = pieces[i].split("\t")
+        if not pieces[i]:
+            sentence += 1
+        elif sentence == k and fields[0][0] != "#" and not re.fullmatch(SKIPPED_ID, fields[0]):
+            words.append((i, fields))
+    root = next(w for w, (_, fields) in enumerate(words) if fields[6] == "0")
+    if kind == "headless":
+        w = root
+    elif kind in ("second-root", "cycle"):
+        w = rng.choice([w for w in range(len(words)) if w != root])
+    else:
+        w = rng.randrange(len(words))
+    i, fields = words[w]
+    if kind == "columns":
+        del fields[-1]
+    elif kind == "id":
+        fields[0] += "x"
+    elif kind == "head":
+        fields[6] = "_"
+    elif kind == "missing-head":
+        fields[6] = str(len(words) + 1)
+    elif kind == "second-root":
+        fields[6] = "0"
+    else:  # headless, when the root heads itself; a cycle, when another word does
+        fields[6] = str(w + 1)
+    pieces[i] = "\t".join(fields)
+    return "".join(pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sentences=st.lists(ud_sentences(), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(BREAKS)),
+    bom=st.booleans(),
+)
+def test_an_error_in_a_later_chunk_names_the_line_of_the_whole_file(
+    sentences, seed, kind, bom, tmp_path_factory
+):
+    rng = random.Random(seed)
+    text = corpusgen.write_conllu(parse_conllu("\n".join(sentences)), rng)
+    k = rng.randrange(1, len(sentences))  # not the first sentence, so not the first chunk
+    broken = _break_sentence(text, k, kind, rng)
+    with pytest.raises(ConlluError) as whole:
+        parse_conllu(broken)
+    assert BREAKS[kind] in str(whole.value)
+    path = tmp_path_factory.getbasetemp() / "broken.conllu"
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + broken.encode("utf-8"))
+    for size in TINY_CHUNKS:
+        chunks, error = _read_chunks(path, size)
+        assert error == f"t.conllu: {whole.value}"
+        if size == 1:  # the k sentences before the broken one came first, a chunk each
+            assert len(chunks) == k
