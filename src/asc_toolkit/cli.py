@@ -189,6 +189,7 @@ def _check_outputs(outputs: dict[str, str | None], inputs: Container[FileId | No
 def _replace_on_success(path: str | Path | None) -> Iterator[TextIO | None]:
     """Write a file beside path that replaces it only if the block completes.
 
+    Every command opens each of its outputs here.
     On any exception, Ctrl-C included, path keeps what it had before.  This
     holds for a path that is a regular file or does not exist yet; any other
     destination (a symlink such as /dev/stdout, a device such as /dev/null,
@@ -289,10 +290,10 @@ def cmd_build_norms(args) -> int:
     documents = chain.from_iterable(read_conllu_chunks(path, key) for key, path in files)
     # abspath makes `.` and `sub/..` name their directory, without following a symlink.
     label = args.label if args.label is not None else os.path.basename(os.path.abspath(corpus_dir))
-    # --out is written inside the block, so a failure there leaves --debug-tags as it was.
-    with _replace_on_success(args.debug_tags) as debug:
+    # --out is replaced first, so a failure there leaves --debug-tags as it was.
+    with _replace_on_success(args.debug_tags) as debug, _replace_on_success(args.out) as out:
         norm = build_norms(documents, label, debug=debug)
-        save_norms(norm, args.out)
+        save_norms(norm, out)
     print(f"{norm.total} ASC tokens ({len(norm.pair_counts)} pairs) -> {args.out}")
     return EXIT_OK
 
@@ -324,17 +325,17 @@ def cmd_stats(args) -> int:
     if matrix.n_rows() < 10:
         raise ValueError(f"join produced only {matrix.n_rows()} rows (need >= 10)")
     result = run_pipeline(matrix, r_threshold=args.r_threshold, vif_limit=args.vif_limit)
-    report = format_report(result)
-    Path(args.report).write_text(report, encoding="utf-8", newline="\n")
+    with _replace_on_success(args.report) as out:
+        out.write(format_report(result))
     print(f"report -> {args.report}")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     # Nothing a command builds holds a reference cycle, so reference counting
-    # frees all of it, and the cyclic collector's passes over each parsed
-    # document find nothing.  It is off for the command (forked --jobs
-    # workers inherit that) and back on after only if it was on before.
+    # frees all of it and the cyclic collector's passes, most of them in
+    # stats' numpy import, find nothing.  It is off for the command (forked
+    # --jobs workers inherit that) and back on after only if it was on before.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

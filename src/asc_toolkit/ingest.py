@@ -5,10 +5,11 @@ deprel): Token's fields in Token's order, so Token(*row) is that word.  Only
 these six columns are kept.  The tagger reads the rows; Token objects are
 built only when Sentence.tokens or Sentence.deps is asked for.
 
-A file's text is read whole, but parsed in chunks of whole sentences
-(read_conllu_chunks), each about CHUNK_CHARS characters and cut at an empty
-line, so the parse held in memory at once is bounded by one chunk, not by one
-file.  parse_conllu_file joins the chunks into one Document.
+A file's text is read whole, in text mode, which makes every line end a line
+feed, but parsed in chunks of whole sentences (read_conllu_chunks), each about
+CHUNK_CHARS characters and cut at an empty line, so the parse held in memory
+at once is bounded by one chunk, not by one file.  parse_conllu_file joins
+the chunks into one Document.
 
 Only pre-parsed input is supported; tokenization and parsing of raw text are
 left to whatever UD parser produced the file.
@@ -165,13 +166,14 @@ def _field_int(text: str, column: str, lineno: int) -> int:
 def read_conllu_chunks(path: str | Path, source_id: str | None = None) -> Iterator[Document]:
     """Parse a UTF-8 CoNLL-U file chunk by chunk, in file order; a leading byte order mark is skipped.
 
-    The text is read whole and its line ends made line feeds, then cut into
-    chunks at the first empty line CHUNK_CHARS or more characters past each
-    chunk's start, so a chunk holds whole sentences.  Each chunk is yielded as
-    a Document that carries the index of its first sentence in the file, and
-    its errors name lines of the whole file.  source_id defaults to the
-    file's name.  A read, decode or parse error is a ConlluError whose text
-    starts with the source_id; the chunks before it have been yielded.
+    The text is read whole in text mode, which makes every line end, CRLF
+    and lone CR included, a line feed.  It is cut into chunks at the first
+    empty line CHUNK_CHARS or more characters past each chunk's start, so a
+    chunk holds whole sentences.  Each chunk is yielded as a Document that
+    carries the index of its first sentence in the file, and its errors name
+    lines of the whole file.  source_id defaults to the file's name.  A
+    read, decode or parse error is a ConlluError whose text starts with the
+    source_id; the chunks before it have been yielded.
     """
     # open and os.path take path as it is: making a Path of it costs about 7 us a file.
     source_id = os.path.basename(path) if source_id is None else source_id
@@ -180,8 +182,6 @@ def read_conllu_chunks(path: str | Path, source_id: str | None = None) -> Iterat
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConlluError(f"{source_id}: {exc}") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     pos, first_line, first_sentence = 0, 1, 0
     while pos < len(text):
         # "\n\n" ends a line and then an empty one; a chunk ends after both.

@@ -137,17 +137,14 @@ def contingency(norm: NormTable, asc_type: str, lemma: str) -> ContingencyCells:
     return ContingencyCells(a=a, b=b, c_cell=c_cell, d=d)
 
 
-def save_norms(norm: NormTable, path: str | Path) -> None:
-    """Write the TSV norm format: #source/#version/#total header, sorted rows."""
-    path = Path(path)
-    lines = [
-        f"#source={norm.source}",
-        f"#version={norm.version}",
-        f"#total={norm.total}",
-    ]
+def save_norms(norm: NormTable, out: TextIO) -> None:
+    """Write the TSV norm format to out: #source/#version/#total header, sorted rows.
+
+    Lines end in a line feed as written: open a file for out with newline="".
+    """
+    out.write(f"#source={norm.source}\n#version={norm.version}\n#total={norm.total}\n")
     for (c, v), n in sorted(norm.pair_counts.items()):
-        lines.append(f"{c}\t{v}\t{n}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        out.write(f"{c}\t{v}\t{n}\n")
 
 
 def load_norms(path: str | Path) -> NormTable:

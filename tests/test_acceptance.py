@@ -112,11 +112,13 @@ def test_norm_build_oracle(tmp_path):
     assert norm.total == sum(recount.values())
 
     p1, p2 = tmp_path / "n1.tsv", tmp_path / "n2.tsv"
-    save_norms(norm, p1)
+    with open(p1, "w", encoding="utf-8", newline="") as out:
+        save_norms(norm, out)
     loaded = load_norms(p1)
     assert loaded.pair_counts == norm.pair_counts
     assert loaded.total == norm.total
-    save_norms(loaded, p2)
+    with open(p2, "w", encoding="utf-8", newline="") as out:
+        save_norms(loaded, out)
     assert p1.read_bytes() == p2.read_bytes()
     _ok(f"norm-build oracle (500 sentences, {norm.total} tokens, byte-stable round trip)")
 

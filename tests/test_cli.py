@@ -1110,6 +1110,41 @@ sys.exit(cli.main(["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "build-norms", "stats"])
+def test_a_failed_write_leaves_every_output_as_it_was(frames_dir, tmp_path, capsys, command):
+    # Past RLIMIT_FSIZE a write fails with EFBIG, since Python ignores SIGXFSZ.
+    # A limit of 0 still lets a file be cut to nothing, so an output written
+    # in place would be emptied.  build-norms runs without --debug-tags: the
+    # debug stream's buffer would fail first, and --out would not be reached.
+    pytest.importorskip("resource")
+    idx, sc = write_stats_csvs(tmp_path)
+    argv = {
+        "analyze": ["analyze", "--input-dir", str(frames_dir), "--source", "demo",
+                    "--output-csv", str(tmp_path / "a.csv"), "--debug-tags", str(tmp_path / "a.tags")],
+        "build-norms": ["build-norms", "--corpus-dir", str(frames_dir), "--out", str(tmp_path / "n.tsv")],
+        "stats": ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc),
+                  "--report", str(tmp_path / "r.txt")],
+    }[command]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    before = _tree_bytes(tmp_path)
+    script = f"""
+import resource, sys
+from asc_toolkit import cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (0, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main({argv!r}))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    # stderr is a pipe: the limit holds for every file the process writes.
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "error: [Errno 27] File too large"
+    assert _tree_bytes(tmp_path) == before  # every output as it was, and no .partial file
+
+
 @pytest.mark.parametrize(
     "which, lineno, text, column, problem",
     [

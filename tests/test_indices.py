@@ -326,7 +326,8 @@ def test_soa_indices_equal_the_rescanning_definition(pairs):
 
 def _saved(norm, directory):
     path = directory / "norm.tsv"
-    save_norms(norm, path)
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        save_norms(norm, out)
     return path.read_bytes()
 
 

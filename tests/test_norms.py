@@ -108,17 +108,22 @@ def test_contingency_cells_nonnegative_for_all_pairs():
             assert cells.total == norm.total
 
 
+def _save(norm, path):
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        save_norms(norm, out)
+
+
 def test_round_trip(tmp_path):
     norm = NormTable(pair_counts=dict(FOUR_PAIR_TABLE), source="unit")
     path = tmp_path / "n.tsv"
-    save_norms(norm, path)
+    _save(norm, path)
     loaded = load_norms(path)
     assert loaded.pair_counts == norm.pair_counts
     assert loaded.type_counts == norm.type_counts
     assert loaded.lemma_counts == norm.lemma_counts
     assert loaded.total == norm.total
     assert loaded.source == "unit"
-    save_norms(loaded, tmp_path / "n2.tsv")
+    _save(loaded, tmp_path / "n2.tsv")
     assert (tmp_path / "n.tsv").read_bytes() == (tmp_path / "n2.tsv").read_bytes()
 
 
@@ -185,18 +190,24 @@ def test_load_missing_header(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, first, second", [("total", "3", "5"), ("source", "x", "y"), ("version", "1.0.0", "1.0.1")]
+    "text, problem",
+    [
+        # A repeated header must fail, not silently replace the line before it.
+        ("#source=x\n#total=3\n#total=5\n#version=1.0.0\n", "repeated #total header at line 3"),
+        ("#version=1.0.0\n#source=x\n#source=y\n#total=3\n", "repeated #source header at line 3"),
+        ("#source=x\n#version=1.0.0\n#version=1.0.1\n#total=3\n",
+         "repeated #version header at line 3"),
+        ("#source=x\n#version=1.0.0\n#total\n", "bad header at line 3"),
+        ("#source=x\n#version=1.0.0\n#total=6\nTRAN_S\teat\t3\n", "duplicate pair at line 5"),
+    ],
+    ids=["total-3-5", "source-x-y", "version-1.0.0-1.0.1", "header-without-equals", "repeated-pair"],
 )
-def test_load_repeated_header_is_an_error(tmp_path, key, first, second):
-    header = {"source": "x", "version": "1.0.0", "total": "3"}
-    lines = [f"#{k}={v}" for k, v in header.items() if k != key]
-    # The repeat is line 3: it must fail, not silently replace line 2.
-    lines[1:1] = [f"#{key}={first}", f"#{key}={second}"]
+def test_load_error_names_the_file_and_the_line(tmp_path, text, problem):
     path = tmp_path / "bad.tsv"
-    path.write_text("\n".join(lines) + "\nTRAN_S\teat\t3\n", encoding="utf-8")
+    path.write_text(text + "TRAN_S\teat\t3\n", encoding="utf-8")
     with pytest.raises(NormTableError) as info:
         load_norms(path)
-    assert str(info.value) == f"{path}: malformed norm file: repeated #{key} header at line 3"
+    assert str(info.value) == f"{path}: malformed norm file: {problem}"
 
 
 def test_load_inconsistent_total(tmp_path):
@@ -313,7 +324,7 @@ def test_norm_tables_round_trip_with_any_lemma(tmp_path_factory, pairs, unseen, 
     assume(all(lemma != unseen for _, lemma in pairs))
     norm = NormTable(pair_counts=pairs, source=source, version=version)
     path = tmp_path_factory.mktemp("norms") / "n.tsv"
-    save_norms(norm, path)
+    _save(norm, path)
     assert load_norms(path) == norm  # source and version take part in equality
     for asc_type, lemma in [*pairs, *((c, unseen) for c in ASC_TYPES)]:
         cells = contingency(norm, asc_type, lemma)

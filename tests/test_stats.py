@@ -89,6 +89,16 @@ def test_pearson_too_short():
         pearson([1.0, 2.0], [2.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]), ([[1.0, 2.0, 3.0]], [[3.0, 2.0, 1.0]])],
+    ids=["lengths", "two-dimensional"],
+)
+def test_pearson_needs_one_dimensional_vectors_of_one_length(x, y):
+    with pytest.raises(ValueError, match="^vectors must be one-dimensional and of equal length$"):
+        pearson(x, y)
+
+
 def test_pearson_symmetry_and_affine_invariance():
     rng = random.Random(51)
     x = [rng.gauss(0, 1) for _ in range(40)]
@@ -433,6 +443,13 @@ def test_aic_best_is_in_candidate_set():
     sel = aic_select(matrix_from(cols, y))
     assert sel.best in [names for names, _ in sel.candidates]
     assert sel.candidates[0][1] == sel.best_aic
+
+
+def test_aic_select_needs_three_complete_rows():
+    # Two of the four rows miss their a cell, so two complete rows are left.
+    m = matrix_from({"a": [1.0, None, 3.0, None]}, [1.0, 2.0, 0.5, 4.0])
+    with pytest.raises(ValueError, match="^need at least 3 complete rows$"):
+        aic_select(m)
 
 
 def test_aic_select_rejects_too_many_candidates():
@@ -966,6 +983,21 @@ def test_ols_needs_enough_rows():
 
 
 # --- CSV loading and pipeline ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ids, shape, problem",
+    [
+        (["t0", "t1"], (1, 3), "ids and target lengths disagree"),
+        (["t0", "t1", "t2"], (1, 2), "columns shape disagrees with names and target"),
+        (["t0", "t1", "t2"], (3, 1), "columns shape disagrees with names and target"),
+        (["t0", "t1", "t2"], (3,), "columns shape disagrees with names and target"),
+    ],
+    ids=["ids", "columns-short", "columns-transposed", "columns-flat"],
+)
+def test_feature_matrix_refuses_parts_that_disagree(ids, shape, problem):
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        FeatureMatrix(ids=ids, names=["a"], columns=np.zeros(shape), target=np.zeros(3))
 
 
 def write_csvs(tmp_path, n=40, seed=90):

@@ -466,7 +466,8 @@ def test_norms_over_drawn_trees_round_trip_and_cells_sum_to_total(documents, tmp
         return
     norm = build_norms(docs, "drawn")
     path = tmp_path_factory.getbasetemp() / "drawn.tsv"
-    save_norms(norm, path)
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        save_norms(norm, out)
     assert load_norms(path) == norm
     header_total = next(
         int(line[len("#total="):]) for line in path.read_text(encoding="utf-8").split("\n")
