@@ -290,10 +290,12 @@ def cmd_build_norms(args) -> int:
     documents = chain.from_iterable(read_conllu_chunks(path, key) for key, path in files)
     # abspath makes `.` and `sub/..` name their directory, without following a symlink.
     label = args.label if args.label is not None else os.path.basename(os.path.abspath(corpus_dir))
-    # --out is replaced first, so a failure there leaves --debug-tags as it was.
-    with _replace_on_success(args.debug_tags) as debug, _replace_on_success(args.out) as out:
+    # --out is opened once the table is built, so a data error leaves even a symlinked
+    # one as it was, and replaced first, so a failure there leaves --debug-tags as it was.
+    with _replace_on_success(args.debug_tags) as debug:
         norm = build_norms(documents, label, debug=debug)
-        save_norms(norm, out)
+        with _replace_on_success(args.out) as out:
+            save_norms(norm, out)
     print(f"{norm.total} ASC tokens ({len(norm.pair_counts)} pairs) -> {args.out}")
     return EXIT_OK
 

@@ -784,6 +784,20 @@ def test_build_norms_parse_error_names_the_file(frames_dir, tmp_path, capsys, co
     assert not out.exists()
 
 
+def test_build_norms_data_error_leaves_a_table_behind_a_symlink(frames_dir, tmp_path, capsys):
+    # A symlink output is written directly, so --out must not be opened before the table is built.
+    corpus = copy_frames(frames_dir, tmp_path / "corpus", ["attr"])
+    (corpus / "bad.conllu").write_bytes(b"1\tShe\tshe\tPRON\t_\t_\t0\troot\t_\n")
+    table = tmp_path / "table.tsv"
+    table.write_bytes(b"old norms\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(table)
+    rc = cli.main(["build-norms", "--corpus-dir", str(corpus), "--out", str(link)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad.conllu: line 1: malformed token line")
+    assert link.is_symlink() and table.read_bytes() == b"old norms\n"
+
+
 def test_build_norms_error_in_a_later_chunk_names_the_line_of_the_file(
     frames_dir, tmp_path, capsys
 ):
