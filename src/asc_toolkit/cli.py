@@ -159,52 +159,62 @@ def _file_id(path: str | Path) -> FileId | None:
     return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
+def _destination(path: str | Path) -> Path | None:
+    """The real path at which an output is replaced; None if it is written directly.
+
+    Links are followed: a regular file, or nothing yet, is replaced; anything
+    else (/dev/null, a FIFO, the pipe behind /dev/stdout) is written directly.
+    Any other OSError, a symlink loop say, propagates.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except FileNotFoundError:
+        pass
+    return Path(os.path.realpath(path))
+
+
 def _check_outputs(outputs: dict[str, str | None], inputs: Container[FileId | None] = ()) -> None:
     """A usage error if an output names another output or an input file of its command.
 
     outputs maps each output flag to its path, None if not asked for; inputs
-    holds the _file_id of each input.  An output that is a regular file, or
-    does not exist yet, gets new contents: two such outputs may not share a
-    real path, and an existing one may not be an input.  Other destinations,
-    /dev/null say, are written as they are and stay allowed.
+    holds the _file_id of each input.  Two outputs that are replaced may not
+    share a _destination, and an existing one may not be an input.  Outputs
+    written directly, /dev/null say, stay allowed.
     """
-    first: dict[str, tuple[str, str]] = {}  # real path -> (flag, path) of the first output there
+    first: dict[Path, tuple[str, str]] = {}  # destination -> (flag, path) of the first output there
     for flag, path in outputs.items():
-        if path is None:
+        dest = None if path is None else _destination(path)
+        if dest is None:
             continue
-        # realpath, unlike Path.resolve, returns a path for a symlink loop too.
-        resolved = os.path.realpath(path)
-        fid = _file_id(resolved)
-        if fid is None and os.path.lexists(resolved):
-            continue
-        if resolved in first:
-            first_flag, first_path = first[resolved]
+        if dest in first:
+            first_flag, first_path = first[dest]
             raise UsageError(f"{first_flag} and {flag} name the same file: {first_path}")
+        fid = _file_id(dest)
         if fid is not None and fid in inputs:
             raise UsageError(f"{flag} names an input file: {path}")
-        first[resolved] = flag, path
+        first[dest] = flag, path
 
 
 @contextmanager
 def _replace_on_success(path: str | Path | None) -> Iterator[TextIO | None]:
-    """Write a file beside path that replaces it only if the block completes.
+    """Write a file that replaces path's _destination only if the block completes.
 
     Every command opens each of its outputs here.
-    On any exception, Ctrl-C included, path keeps what it had before.  This
-    holds for a path that is a regular file or does not exist yet; any other
-    destination (a symlink such as /dev/stdout, a device such as /dev/null,
-    a FIFO) is written directly, so that it stays what it is.  An optional
-    output that was not asked for (path None) yields None.
+    On any exception, Ctrl-C included, the destination keeps what it had
+    before, and a symlink to it stays a symlink.  An output that _destination
+    does not replace is written directly, so that it stays what it is.  An
+    optional output that was not asked for (path None) yields None.
     """
     if path is None:
         yield None
         return
-    path = Path(path)
-    if path.is_symlink() or (path.exists() and not path.is_file()):
+    dest = _destination(path)
+    if dest is None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
-    partial = path.with_name(path.name + ".partial")
+    partial = dest.with_name(dest.name + ".partial")
     try:
         fh = open(partial, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -213,7 +223,7 @@ def _replace_on_success(path: str | Path | None) -> Iterator[TextIO | None]:
     try:
         with fh:
             yield fh
-        os.replace(partial, path)
+        os.replace(partial, dest)
     finally:
         partial.unlink(missing_ok=True)
 
@@ -290,12 +300,10 @@ def cmd_build_norms(args) -> int:
     documents = chain.from_iterable(read_conllu_chunks(path, key) for key, path in files)
     # abspath makes `.` and `sub/..` name their directory, without following a symlink.
     label = args.label if args.label is not None else os.path.basename(os.path.abspath(corpus_dir))
-    # --out is opened once the table is built, so a data error leaves even a symlinked
-    # one as it was, and replaced first, so a failure there leaves --debug-tags as it was.
-    with _replace_on_success(args.debug_tags) as debug:
+    # --out is replaced first, so a failure there leaves --debug-tags as it was.
+    with _replace_on_success(args.debug_tags) as debug, _replace_on_success(args.out) as out:
         norm = build_norms(documents, label, debug=debug)
-        with _replace_on_success(args.out) as out:
-            save_norms(norm, out)
+        save_norms(norm, out)
     print(f"{norm.total} ASC tokens ({len(norm.pair_counts)} pairs) -> {args.out}")
     return EXIT_OK
 

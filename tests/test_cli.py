@@ -341,14 +341,25 @@ def test_two_outputs_naming_one_file_is_a_usage_error(frames_dir, tmp_path, caps
 def test_output_through_a_symlink_loop_is_a_data_error(frames_dir, tmp_path, capsys):
     (tmp_path / "a").symlink_to(tmp_path / "b")
     (tmp_path / "b").symlink_to(tmp_path / "a")
+    (tmp_path / "t").write_bytes(b"old tags\n")
+    before = _tree_bytes(tmp_path)
     rc = cli.main(["analyze", "--input-dir", str(frames_dir), "--source", "demo",
                    "--output-csv", str(tmp_path / "a"), "--debug-tags", str(tmp_path / "t")])
     assert rc == 2
     assert "Too many levels of symbolic links" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "t"]
+    assert _tree_bytes(tmp_path) == before
 
 
 def _tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _link_each_file(real, links):
+    """Make directory links hold a symlink to each file in directory real, under its name."""
+    links.mkdir()
+    for p in real.iterdir():
+        (links / p.name).symlink_to(p)
 
 
 # (flag, output as given, argv) per command and input kind; paths are relative
@@ -458,6 +469,14 @@ def test_analyze_writes_through_symlink_and_fifo(frames_dir, tmp_path):
     link.symlink_to(real)
     assert cli.main(base + [str(link)]) == 0
     assert link.is_symlink() and real.read_bytes() == expected
+
+    # A link to nothing yet creates its target and stays a link.
+    dangling, target = tmp_path / "dangling.tsv", tmp_path / "new" / "target.tsv"
+    target.parent.mkdir()
+    dangling.symlink_to(target)
+    assert cli.main(base + [str(dangling)]) == 0
+    assert dangling.is_symlink() and target.read_bytes() == expected
+    assert [p.name for p in target.parent.iterdir()] == ["target.tsv"]
 
     fifo = tmp_path / "tags.fifo"
     os.mkfifo(fifo)
@@ -785,7 +804,7 @@ def test_build_norms_parse_error_names_the_file(frames_dir, tmp_path, capsys, co
 
 
 def test_build_norms_data_error_leaves_a_table_behind_a_symlink(frames_dir, tmp_path, capsys):
-    # A symlink output is written directly, so --out must not be opened before the table is built.
+    # --out is replaced at the link's target, and only once the table is built and saved.
     corpus = copy_frames(frames_dir, tmp_path / "corpus", ["attr"])
     (corpus / "bad.conllu").write_bytes(b"1\tShe\tshe\tPRON\t_\t_\t0\troot\t_\n")
     table = tmp_path / "table.tsv"
@@ -1124,23 +1143,38 @@ sys.exit(cli.main(["stats", "--indices-csv", {str(idx)!r}, "--scores-csv", {str(
     assert not report.exists()
 
 
-@pytest.mark.parametrize("command", ["analyze", "build-norms", "stats"])
-def test_a_failed_write_leaves_every_output_as_it_was(frames_dir, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, linked",
+    [(command, linked) for linked in (False, True) for command in ("analyze", "build-norms", "stats")],
+    ids=["analyze", "build-norms", "stats", "analyze-symlinks", "build-norms-symlinks", "stats-symlinks"],
+)
+def test_a_failed_write_leaves_every_output_as_it_was(frames_dir, tmp_path, capsys, command, linked):
     # Past RLIMIT_FSIZE a write fails with EFBIG, since Python ignores SIGXFSZ.
     # A limit of 0 still lets a file be cut to nothing, so an output written
     # in place would be emptied.  build-norms runs without --debug-tags: the
     # debug stream's buffer would fail first, and --out would not be reached.
+    # linked: each output is a symlink, in a sibling directory, to a file
+    # written before; the file keeps its bytes and the link stays a link.
     pytest.importorskip("resource")
     idx, sc = write_stats_csvs(tmp_path)
-    argv = {
-        "analyze": ["analyze", "--input-dir", str(frames_dir), "--source", "demo",
-                    "--output-csv", str(tmp_path / "a.csv"), "--debug-tags", str(tmp_path / "a.tags")],
-        "build-norms": ["build-norms", "--corpus-dir", str(frames_dir), "--out", str(tmp_path / "n.tsv")],
-        "stats": ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc),
-                  "--report", str(tmp_path / "r.txt")],
-    }[command]
+
+    def argv_into(out):
+        return {
+            "analyze": ["analyze", "--input-dir", str(frames_dir), "--source", "demo",
+                        "--output-csv", str(out / "a.csv"), "--debug-tags", str(out / "a.tags")],
+            "build-norms": ["build-norms", "--corpus-dir", str(frames_dir), "--out", str(out / "n.tsv")],
+            "stats": ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc),
+                      "--report", str(out / "r.txt")],
+        }[command]
+
+    real, links = tmp_path / "real", tmp_path / "links"
+    real.mkdir()
+    argv = argv_into(real)
     assert cli.main(argv) == 0
     capsys.readouterr()
+    if linked:
+        _link_each_file(real, links)
+        argv = argv_into(links)
     before = _tree_bytes(tmp_path)
     script = f"""
 import resource, sys
@@ -1157,6 +1191,52 @@ sys.exit(cli.main({argv!r}))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines()[-1] == "error: [Errno 27] File too large"
     assert _tree_bytes(tmp_path) == before  # every output as it was, and no .partial file
+    if linked:
+        assert all(p.is_symlink() for p in links.iterdir())
+
+
+def test_analyze_with_no_file_analyzed_leaves_symlinked_outputs(tmp_path, capsys):
+    inp = tmp_path / "in"
+    inp.mkdir()
+    (inp / "bad.conllu").write_text("1\tx\tx\n", encoding="utf-8")
+    real, links = tmp_path / "real", tmp_path / "links"
+    real.mkdir()
+    (real / "out.csv").write_bytes(b"old csv\n")
+    (real / "tags.tsv").write_bytes(b"old tags\n")
+    _link_each_file(real, links)
+    before = _tree_bytes(tmp_path)
+    rc = cli.main(["analyze", "--input-dir", str(inp), "--source", "demo",
+                   "--output-csv", str(links / "out.csv"), "--debug-tags", str(links / "tags.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no file could be analyzed"
+    assert _tree_bytes(tmp_path) == before
+    assert all(p.is_symlink() for p in links.iterdir())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize(
+    "command, stdout", [("analyze", "pipe"), ("build-norms", "file"), ("stats", "file")]
+)
+def test_an_output_to_dev_stdout_holds_that_output_alone(frames_dir, tmp_path, command, stdout):
+    # Into a pipe the output is streamed.  A regular file behind /dev/stdout is
+    # replaced, so the summary line that build-norms and stats print to stdout
+    # goes to the file replaced, not over the head of the output.
+    idx, sc = write_stats_csvs(tmp_path)
+    flag, argv = {
+        "analyze": ("--output-csv", ["analyze", "--input-dir", str(frames_dir), "--source", "demo"]),
+        "build-norms": ("--out", ["build-norms", "--corpus-dir", str(frames_dir)]),
+        "stats": ("--report", ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc)]),
+    }[command]
+    plain = tmp_path / "plain"
+    assert cli.main([*argv, flag, str(plain)]) == 0
+    cmd = [sys.executable, "-m", "asc_toolkit.cli", *argv, flag, "/dev/stdout"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with open(tmp_path / "stdout", "wb") as fh:
+        proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE if stdout == "pipe" else fh,
+                              stderr=subprocess.PIPE, timeout=120)
+    got = proc.stdout if stdout == "pipe" else (tmp_path / "stdout").read_bytes()
+    assert proc.returncode == 0, proc.stderr
+    assert got == plain.read_bytes()
 
 
 @pytest.mark.parametrize(
