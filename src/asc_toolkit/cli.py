@@ -163,37 +163,48 @@ def _destination(path: str | Path) -> Path | None:
     """The real path at which an output is replaced; None if it is written directly.
 
     Links are followed: a regular file, or nothing yet, is replaced; anything
-    else (/dev/null, a FIFO, the pipe behind /dev/stdout) is written directly.
-    Any other OSError, a symlink loop say, propagates.
+    else (/dev/null, a FIFO) is written directly.  So is a path reached
+    through /proc/, as /dev/stdout and /dev/fd/N are: it names a descriptor
+    that a process holds open, and replacing the file by name would leave
+    that process holding the old one.  Any other OSError, a symlink loop
+    say, propagates.
     """
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
     except FileNotFoundError:
         pass
-    return Path(os.path.realpath(path))
+    step = os.fspath(path)
+    while True:  # one link at a time; os.stat has already refused a loop
+        if os.path.realpath(os.path.dirname(step)).startswith("/proc/"):
+            return None
+        if not os.path.islink(step):
+            return Path(os.path.realpath(path))
+        step = os.path.join(os.path.dirname(step), os.readlink(step))
 
 
 def _check_outputs(outputs: dict[str, str | None], inputs: Container[FileId | None] = ()) -> None:
     """A usage error if an output names another output or an input file of its command.
 
     outputs maps each output flag to its path, None if not asked for; inputs
-    holds the _file_id of each input.  Two outputs that are replaced may not
-    share a _destination, and an existing one may not be an input.  Outputs
-    written directly, /dev/null say, stay allowed.
+    holds the _file_id of each input.  Two outputs may not share a
+    _destination or lead to one regular file, the file behind /dev/stdout
+    included, and an output may not lead to an input.  Outputs that lead to
+    no regular file, /dev/null say, stay allowed.
     """
-    first: dict[Path, tuple[str, str]] = {}  # destination -> (flag, path) of the first output there
+    first: dict[object, tuple[str, str]] = {}  # destination or file id -> its first (flag, path)
     for flag, path in outputs.items():
-        dest = None if path is None else _destination(path)
-        if dest is None:
+        if path is None:
             continue
-        if dest in first:
-            first_flag, first_path = first[dest]
-            raise UsageError(f"{first_flag} and {flag} name the same file: {first_path}")
-        fid = _file_id(dest)
+        fid = _file_id(path)
+        keys = {_destination(path), fid} - {None}
+        for key in keys:
+            if key in first:
+                first_flag, first_path = first[key]
+                raise UsageError(f"{first_flag} and {flag} name the same file: {first_path}")
         if fid is not None and fid in inputs:
             raise UsageError(f"{flag} names an input file: {path}")
-        first[dest] = flag, path
+        first.update(dict.fromkeys(keys, (flag, path)))
 
 
 @contextmanager
@@ -304,7 +315,7 @@ def cmd_build_norms(args) -> int:
     with _replace_on_success(args.debug_tags) as debug, _replace_on_success(args.out) as out:
         norm = build_norms(documents, label, debug=debug)
         save_norms(norm, out)
-    print(f"{norm.total} ASC tokens ({len(norm.pair_counts)} pairs) -> {args.out}")
+    print(f"{norm.total} ASC tokens ({len(norm.pair_counts)} pairs) -> {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -337,7 +348,7 @@ def cmd_stats(args) -> int:
     result = run_pipeline(matrix, r_threshold=args.r_threshold, vif_limit=args.vif_limit)
     with _replace_on_success(args.report) as out:
         out.write(format_report(result))
-    print(f"report -> {args.report}")
+    print(f"report -> {args.report}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -586,7 +587,7 @@ def test_build_norms_matches_recount(frames_dir, tmp_path, capsys):
         ["build-norms", "--corpus-dir", str(frames_dir), "--out", str(out), "--label", "frames"]
     )
     assert rc == 0
-    assert "27 ASC tokens" in capsys.readouterr().out
+    assert "27 ASC tokens" in capsys.readouterr().err
     norm = load_norms(out)
     recount = Counter()
     for path in sorted(frames_dir.glob("*.conllu")):
@@ -652,6 +653,7 @@ def test_directories_named_conllu_are_not_texts(frames_dir, tmp_path, capsys):
     assert rc == 0
     assert "analyzed 1 of 1 files, 0 warnings" in capsys.readouterr().err
     assert cli.main(["build-norms", "--corpus-dir", str(inp), "--out", str(tmp_path / "n.tsv")]) == 0
+    assert capsys.readouterr().err == f"3 ASC tokens (1 pairs) -> {tmp_path / 'n.tsv'}\n"
     assert load_norms(tmp_path / "n.tsv").pair_counts == {("ATTR", "be"): 3}  # attr.conllu's
 
     # Searched recursively, a file inside such a directory is still a text.
@@ -1214,13 +1216,12 @@ def test_analyze_with_no_file_analyzed_leaves_symlinked_outputs(tmp_path, capsys
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-@pytest.mark.parametrize(
-    "command, stdout", [("analyze", "pipe"), ("build-norms", "file"), ("stats", "file")]
-)
+@pytest.mark.parametrize("stdout", ["pipe", "file", "unlinked-file", "file-by-a-link"])
+@pytest.mark.parametrize("command", ["analyze", "build-norms", "stats"])
 def test_an_output_to_dev_stdout_holds_that_output_alone(frames_dir, tmp_path, command, stdout):
-    # Into a pipe the output is streamed.  A regular file behind /dev/stdout is
-    # replaced, so the summary line that build-norms and stats print to stdout
-    # goes to the file replaced, not over the head of the output.
+    # /dev/stdout, or a link to it, is written directly, whatever stdout is, so
+    # the caller reads the output back through the handle it passed.  Each
+    # command prints its summary to stderr, so the output holds nothing else.
     idx, sc = write_stats_csvs(tmp_path)
     flag, argv = {
         "analyze": ("--output-csv", ["analyze", "--input-dir", str(frames_dir), "--source", "demo"]),
@@ -1229,14 +1230,46 @@ def test_an_output_to_dev_stdout_holds_that_output_alone(frames_dir, tmp_path, c
     }[command]
     plain = tmp_path / "plain"
     assert cli.main([*argv, flag, str(plain)]) == 0
-    cmd = [sys.executable, "-m", "asc_toolkit.cli", *argv, flag, "/dev/stdout"]
+    dest = "/dev/stdout"
+    if stdout == "file-by-a-link":
+        dest = tmp_path / "to-stdout"
+        dest.symlink_to("/dev/stdout")
+    cmd = [sys.executable, "-m", "asc_toolkit.cli", *argv, flag, str(dest)]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    with open(tmp_path / "stdout", "wb") as fh:
-        proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE if stdout == "pipe" else fh,
-                              stderr=subprocess.PIPE, timeout=120)
-    got = proc.stdout if stdout == "pipe" else (tmp_path / "stdout").read_bytes()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    if stdout == "pipe":
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        got = proc.stdout
+    else:
+        with (
+            tempfile.TemporaryFile(dir=tmp_path)  # unlinked: no name to replace
+            if stdout == "unlinked-file"
+            else open(tmp_path / "stdout", "w+b")
+        ) as fh:
+            before = sorted(p.name for p in tmp_path.iterdir())
+            proc = subprocess.run(cmd, env=env, stdout=fh, stderr=subprocess.PIPE, timeout=120)
+            fh.seek(0)
+            got = fh.read()
     assert proc.returncode == 0, proc.stderr
     assert got == plain.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no file made or renamed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("tags", ["/dev/stdout", "out"])
+def test_dev_stdout_and_another_output_on_its_file_is_a_usage_error(frames_dir, tmp_path, tags):
+    # Written directly, /dev/stdout still leads to the file behind it, which
+    # no second output may name.
+    cmd = [sys.executable, "-m", "asc_toolkit.cli", "analyze", "--input-dir", str(frames_dir),
+           "--source", "demo", "--output-csv", "/dev/stdout", "--debug-tags", tags]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with open(tmp_path / "out", "w+b") as fh:
+        proc = subprocess.run(cmd, cwd=tmp_path, env=env, stdout=fh, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == 1
+    want = "usage error: --output-csv and --debug-tags name the same file: /dev/stdout"
+    assert proc.stderr.splitlines() == [want]
+    assert (tmp_path / "out").read_bytes() == b""
 
 
 @pytest.mark.parametrize(
@@ -1399,7 +1432,8 @@ def test_stats_says_what_its_join_left_out(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().err.splitlines() == [
         "joined 32 of 40 indices rows: 8 with no scores row, 0 with a blank score; "
-        "8 scores rows match no indices row"
+        "8 scores rows match no indices row",
+        f"report -> {report}",
     ]
     text = report.read_text(encoding="utf-8")
     assert "Correlations with score (32 texts)" in text
