@@ -187,12 +187,15 @@ def _has_spread(
     return centred_ss > _SWEEP_TOL * uncentred_ss
 
 
-def _sweep_first(stack: np.ndarray, scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_first(
+    stack: np.ndarray, scale: float | np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit the first column of each cross-product matrix in a stack (Goodnight 1979).
 
     stack is (m, p, p); scale is the first column's uncentered sum of squares,
     one value or one per matrix.  Returns the (m, p - 1, p - 1) cross-products
-    of the other columns left after the fit, and whether each pivot passed the
+    of the other columns left after the fit, written into out if given (an
+    array that does not overlap stack), and whether each pivot passed the
     _SWEEP_TOL rule.  A column whose pivot fails adds nothing to the fit: it is
     dropped without being swept, as a least-squares fit would ignore it.
     """
@@ -200,8 +203,8 @@ def _sweep_first(stack: np.ndarray, scale: float | np.ndarray) -> tuple[np.ndarr
     pivot = stack[:, 0, 0]
     ok = _has_spread(pivot, scale)
     inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
-    rest = stack[:, 1:, 1:]
-    return rest - (stack[:, 1:, 0] * inv[:, None])[:, :, None] * stack[:, None, 0, 1:], ok
+    swept = np.multiply((stack[:, 1:, 0] * inv[:, None])[:, :, None], stack[:, None, 0, 1:], out=out)
+    return np.subtract(stack[:, 1:, 1:], swept, out=swept), ok
 
 
 def _sweep_all(cross: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -291,13 +294,17 @@ def _lattice(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
     (Goodnight 1979): step i drops x_i from each matrix (the masks without
     bit i) and sweeps on it (the masks with bit i), and stacks the halves in
     that order.  Where x_i adds nothing, _sweep_first does not sweep it, so
-    the subset with it keeps the fit of the subset without it.
+    the subset with it keeps the fit of the subset without it.  Each step
+    writes both halves into one new array, so no level is copied twice.
     """
     import numpy as np
     stack = cross[None]
     for s in scale:
-        swept, _ = _sweep_first(stack, s)
-        stack = np.concatenate([stack[:, 1:, 1:], swept])
+        m, p = len(stack), stack.shape[1] - 1
+        level = np.empty((2 * m, p, p))
+        level[:m] = stack[:, 1:, 1:]
+        _sweep_first(stack, s, out=level[m:])
+        stack = level
     return stack
 
 
@@ -565,12 +572,20 @@ def _csv_error(path: str | Path, line: int, column: str, problem: str) -> ValueE
 
 @contextmanager
 def _csv_rows(path: str | Path) -> Iterator:
-    """A csv.reader over a UTF-8 file; a byte that is not UTF-8 is a ValueError naming it."""
+    """A csv.reader over a UTF-8 file.
+
+    A byte that is not UTF-8 is a ValueError naming the file, and a row the
+    reader refuses, one with a cell longer than csv.field_size_limit() say,
+    is a ValueError naming the file and the line.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            yield csv.reader(fh)
+            yield reader
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _header(reader, path: str | Path, kind: str) -> list[str]:
