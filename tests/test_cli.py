@@ -1,3 +1,4 @@
+import csv
 import gc
 import importlib
 import os
@@ -581,6 +582,40 @@ def test_analyze_no_matching_files(tmp_path, capsys):
     assert "no .conllu files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "build-norms"])
+def test_a_text_whose_name_is_not_utf8_is_refused_before_any_file_is_read(
+    frames_dir, tmp_path, monkeypatch, capsys, command
+):
+    # No output could name it: the name is refused, with its bytes escaped,
+    # before a text is parsed or an output opened.  A UTF-8 name that is not
+    # ASCII is a text like any other.
+    inp = copy_frames(frames_dir, tmp_path / "in", ["attr"])
+    shutil.copy(inp / "attr.conllu", inp / "\u00e9.conllu")
+    (inp / "sub\u00e9").mkdir()
+    try:
+        shutil.copy(inp / "attr.conllu", inp / "sub\u00e9" / os.fsdecode(b"\xfe.conllu"))
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    dir_flag, out_flag = {"analyze": ("--input-dir", "--output-csv"),
+                          "build-norms": ("--corpus-dir", "--out")}[command]
+    out, dbg = tmp_path / "out", tmp_path / "tags"
+    argv = [command, dir_flag, str(inp), out_flag, str(out), "--debug-tags", str(dbg)]
+    argv += ["--source", "demo"] if command == "analyze" else []
+    assert cli.main(argv) == 0  # not recursive: the name is not found
+    assert "\u00e9.conllu" in out.read_text(encoding="utf-8") + dbg.read_text(encoding="utf-8")
+    capsys.readouterr()
+    before = _tree_bytes(tmp_path / "in"), out.read_bytes(), dbg.read_bytes()
+
+    def unread(*args):
+        raise AssertionError(f"read {args}")
+
+    monkeypatch.setattr(cli, "parse_conllu_file", unread)
+    monkeypatch.setattr(cli, "read_conllu_chunks", unread)
+    assert cli.main(argv + ["--recursive"]) == 2
+    assert capsys.readouterr().err == "error: sub\u00e9/\\xfe.conllu: file name is not UTF-8\n"
+    assert (_tree_bytes(tmp_path / "in"), out.read_bytes(), dbg.read_bytes()) == before
+
+
 def test_build_norms_matches_recount(frames_dir, tmp_path, capsys):
     out = tmp_path / "norms.tsv"
     rc = cli.main(
@@ -741,8 +776,54 @@ def test_main_leaves_the_collector_as_it_found_it(
         rc = cli.main(argv)
         assert (rc, gc.isenabled()) == (want_rc, enabled)
         assert seen_during == ([] if want_rc == 1 else [False])
+        # Only the console entry freezes the heap; a caller of main keeps one it can collect.
+        assert gc.get_freeze_count() == 0
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "command, want_rc",
+    [("analyze", 0), ("build-norms", 0), ("stats", 0), ("analyze", 1), ("stats", 2)],
+    ids=["analyze", "build-norms", "stats", "usage-error", "data-error"],
+)
+def test_the_console_entry_freezes_the_heap_and_exits_as_main_returns(
+    frames_dir, tmp_path, command, want_rc
+):
+    # An atexit hook, which runs after entry's sys.exit, sees the frozen heap.
+    # The process exits with main's status, and writes what main writes in process.
+    idx, sc = write_stats_csvs(tmp_path)
+    if want_rc == 2:
+        sc.write_text(sc.read_text(encoding="utf-8") + "extra,n/a\n", encoding="utf-8")
+
+    def argv_into(out):
+        out.mkdir()
+        return {
+            "analyze": ["analyze", "--input-dir", str(frames_dir), "--source", "demo",
+                        "--output-csv", str(out / "a.csv"), "--debug-tags", str(out / "a.tags")],
+            "build-norms": ["build-norms", "--corpus-dir", str(frames_dir),
+                            "--out", str(out / "n.tsv"), "--debug-tags", str(out / "n.tags")],
+            "stats": ["stats", "--indices-csv", str(idx), "--scores-csv", str(sc),
+                      "--report", str(out / "r.txt")],
+        }[command] + (["--jobs", "0"] if want_rc == 1 else [])
+
+    assert cli.main(argv_into(tmp_path / "in-process")) == want_rc
+    script = """
+import atexit, gc
+from asc_toolkit import cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+cli.entry()  # main reads sys.argv[1:], the arguments after the script
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv_into(tmp_path / "entry")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == want_rc, proc.stderr
+    assert "Traceback" not in proc.stderr
+    label, count = proc.stdout.split()
+    assert label == "frozen" and int(count) > 0
+    assert _tree_bytes(tmp_path / "entry") == _tree_bytes(tmp_path / "in-process")
 
 
 def test_build_norms_debug_stream_matches_table(frames_dir, tmp_path):
@@ -1326,6 +1407,32 @@ def test_stats_rejects_bad_csv_naming_file_line_column(
     where = "" if column is None else f"line {lineno}, column {column!r}: "
     want = f"{paths[which]}: {where}{problem}"
     assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "which, lineno", [("indices", 5), ("scores", 1)], ids=["indices-row", "scores-header"]
+)
+def test_stats_cell_past_the_csv_field_limit_names_file_and_line(tmp_path, capsys, which, lineno):
+    # csv.reader refuses a cell longer than its field limit, which is kept.
+    limit = csv.field_size_limit()
+    lines = {
+        "indices": ["filename,alpha"] + [f"t{i},{i}" for i in range(12)],
+        "scores": ["filename,score"] + [f"t{i},{2 * i}" for i in range(12)],
+    }
+    lines[which][lineno - 1] += "1" * limit
+    paths = {name: tmp_path / f"{name}.csv" for name in lines}
+    for name, path in paths.items():
+        path.write_text("\n".join(lines[name]) + "\n", encoding="utf-8")
+    report = tmp_path / "r.txt"
+    report.write_bytes(b"old report\n")
+    rc = cli.main(
+        ["stats", "--indices-csv", str(paths["indices"]), "--scores-csv", str(paths["scores"]),
+         "--report", str(report)]
+    )
+    assert rc == 2
+    want = f"error: {paths[which]}: line {lineno}: field larger than field limit ({limit})"
+    assert capsys.readouterr().err.splitlines()[-1] == want
+    assert report.read_bytes() == b"old report\n"
 
 
 def run_stats(tmp_path, indices, scores):

@@ -1,8 +1,10 @@
+import importlib
 import math
 import random
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -624,6 +626,65 @@ def test_all_subset_rss_matches_lstsq_on_each_design(k, n, seed, const, shift):
         resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
         want = float(resid @ resid)
         assert abs(rss[mask] - want) <= 1e-9 * max(1.0, want)
+
+
+def concatenating_lattice(cross, scale):
+    """_lattice as first written, each level's halves joined by np.concatenate; and the
+    number of pivots that failed the _SWEEP_TOL rule."""
+    stack, failed = cross[None], 0
+    for s in scale:
+        pivot = stack[:, 0, 0]
+        ok = pivot > stats._SWEEP_TOL * s
+        failed += int((~ok).sum())
+        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
+        rest = stack[:, 1:, 1:]
+        swept = rest - (stack[:, 1:, 0] * inv[:, None])[:, :, None] * stack[:, None, 0, 1:]
+        stack = np.concatenate([rest, swept])
+    return stack, failed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(3, 8),
+    data=st.data(),
+    n=st.sampled_from([4, 11, 60]),
+    seed=st.integers(0, 2**32 - 1),
+    const=st.sampled_from([0.0, 1.0, -2.5, 1000.3]),
+    shift=st.sampled_from([0.0, 7e5]),
+)
+def test_lattice_in_place_equals_the_concatenating_sweep_bit_for_bit(k, data, n, seed, const, shift):
+    # The lattice runs over the first j columns.  Among them are a constant
+    # column and an exact multiple of another column, so pivots fail: the
+    # constant's in every matrix, the multiple's where its column was fitted.
+    j = data.draw(st.integers(2, k), label="j")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k)) + shift
+    y = x[:, 0] - x[:, k - 1] + rng.standard_normal(n)
+    at = rng.permutation(j)
+    x[:, at[0]] = const
+    x[:, at[1]] = x[:, rng.choice(np.delete(np.arange(k), at[:2]))] * 2.0
+    cross, scale = stats._cross(x, y)
+    want, failed = concatenating_lattice(cross, scale[:j])
+    got = stats._lattice(cross, scale[:j])
+    assert failed > 0
+    assert got.shape == want.shape == (2**j, k - j + 1, k - j + 1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stats_k18_report_is_the_concatenating_lattices_bit_for_bit(tmp_path, monkeypatch, seed):
+    # perfbench's stats-k18 input: 18 candidates reach the 2^18-model scan.
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    data = importlib.import_module("inputs").stats_input(seed)
+    (tmp_path / "i.csv").write_text(data.indices_csv, encoding="utf-8")
+    (tmp_path / "s.csv").write_text(data.scores_csv, encoding="utf-8")
+    m = load_feature_matrix(tmp_path / "i.csv", tmp_path / "s.csv")
+    result = run_pipeline(m)
+    assert result.selection.n_models == 2**18
+    with mock.patch.object(stats, "_lattice", lambda c, s: concatenating_lattice(c, s)[0]):
+        want = run_pipeline(m)
+    assert repr(asdict(result)) == repr(asdict(want))  # every float, to the last bit
+    assert format_report(result) == format_report(want)
 
 
 # --- OLS --------------------------------------------------------------------
