@@ -138,10 +138,15 @@ def discover_files(root: Path, recursive: bool) -> tuple[list[tuple[str, Path]],
     for key, _ in pairs:
         try:
             key.encode("utf-8")
-        except UnicodeEncodeError:  # os.fsdecode made each byte that is not UTF-8 a surrogate
-            escaped = os.fsencode(key).decode("utf-8", "backslashreplace")
-            raise ValueError(f"{escaped}: file name is not UTF-8") from None
+        except UnicodeEncodeError:
+            raise ValueError(f"{_escaped(key)}: file name is not UTF-8") from None
     return pairs, {fid for fid in ids.values() if fid}
+
+
+def _escaped(name: str) -> str:
+    """A file name as os.fsdecode read it, with each byte that is not UTF-8 (which
+    os.fsdecode made a lone surrogate) shown escaped, as \\xff."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
 
 
 def _analyze_one(norm: NormTable, cfg: IndexConfig, want_debug: bool, item: tuple[str, Path]):
@@ -304,20 +309,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build_norms(args) -> int:
-    if args.label is not None:  # NormTable's rule, checked before the corpus is tagged
-        try:
-            NormTable.check_header_value("--label", args.label)
-        except NormTableError as exc:
+    # abspath makes `.` and `sub/..` name their directory, without following a symlink.
+    corpus_dir = os.path.abspath(args.corpus_dir)
+    given = args.label is not None
+    label = args.label if given else os.path.basename(corpus_dir)
+    try:  # NormTable's rule, checked before any text is read
+        NormTable.check_header_value("--label" if given else "its name, the default --label,", label)
+    except NormTableError as exc:
+        if given:
             raise UsageError(str(exc)) from None
+        raise ValueError(f"{_escaped(corpus_dir)}: {exc}") from None
     outputs = {"--out": args.out, "--debug-tags": args.debug_tags}
     _check_outputs(outputs)
-    corpus_dir = Path(args.corpus_dir)
-    files, text_ids = discover_files(corpus_dir, args.recursive)
+    files, text_ids = discover_files(Path(args.corpus_dir), args.recursive)
     _check_outputs(outputs, text_ids)
     # Chunks of whole sentences, so no file's parse is held whole; chain holds no chunk.
     documents = chain.from_iterable(read_conllu_chunks(path, key) for key, path in files)
-    # abspath makes `.` and `sub/..` name their directory, without following a symlink.
-    label = args.label if args.label is not None else os.path.basename(os.path.abspath(corpus_dir))
     # --out is replaced first, so a failure there leaves --debug-tags as it was.
     with _replace_on_success(args.debug_tags) as debug, _replace_on_success(args.out) as out:
         norm = build_norms(documents, label, debug=debug)

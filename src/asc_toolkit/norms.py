@@ -68,9 +68,15 @@ class NormTable:
 
     @staticmethod
     def check_header_value(name: str, text: str) -> None:
-        """A NormTableError if text, the value of a header line, holds a line break."""
+        """A NormTableError if text, the value of a header line, holds a line break or
+        cannot be written as UTF-8 (a lone surrogate, such as os.fsdecode makes of a
+        byte that is not UTF-8)."""
         if "\n" in text or "\r" in text:
             raise NormTableError(f"{name} must not hold a line break, got {text!r}")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise NormTableError(f"{name} must be UTF-8, got {text!r}") from None
 
     def __post_init__(self) -> None:
         self.check_header_value("source label", self.source)

@@ -192,19 +192,21 @@ def _sweep_first(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit the first column of each cross-product matrix in a stack (Goodnight 1979).
 
-    stack is (m, p, p); scale is the first column's uncentered sum of squares,
-    one value or one per matrix.  Returns the (m, p - 1, p - 1) cross-products
-    of the other columns left after the fit, written into out if given (an
-    array that does not overlap stack), and whether each pivot passed the
-    _SWEEP_TOL rule.  A column whose pivot fails adds nothing to the fit: it is
-    dropped without being swept, as a least-squares fit would ignore it.
+    stack is (p, p, m), matrix index last, so that each elementwise operation
+    runs over rows of m floats rather than the p - 1 or fewer of a matrix row;
+    scale is the first column's uncentered sum of squares, one value or one
+    per matrix.  Returns the (p - 1, p - 1, m) cross-products of the other
+    columns left after the fit, written into out if given (an array that does
+    not overlap stack), and whether each pivot passed the _SWEEP_TOL rule.  A
+    column whose pivot fails adds nothing to the fit: it is dropped without
+    being swept, as a least-squares fit would ignore it.
     """
     import numpy as np
-    pivot = stack[:, 0, 0]
+    pivot = stack[0, 0]
     ok = _has_spread(pivot, scale)
     inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=ok)
-    swept = np.multiply((stack[:, 1:, 0] * inv[:, None])[:, :, None], stack[:, None, 0, 1:], out=out)
-    return np.subtract(stack[:, 1:, 1:], swept, out=swept), ok
+    swept = np.multiply((stack[1:, 0] * inv)[:, None], stack[None, 0, 1:], out=out)
+    return np.subtract(stack[1:, 1:], swept, out=swept), ok
 
 
 def _sweep_all(cross: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -222,13 +224,13 @@ def _sweep_all(cross: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, list[i
     """
     import numpy as np
     border = np.eye(len(cross), len(scale))
-    stack = np.block([[cross, border], [border.T, np.zeros((len(scale),) * 2)]])[None]
+    stack = np.block([[cross, border], [border.T, np.zeros((len(scale),) * 2)]])[:, :, None]
     failed = []
     for j, s in enumerate(scale):
         stack, ok = _sweep_first(stack, s)
         if not ok[0]:
             failed.append(j)
-    return stack[0], failed
+    return stack[:, :, 0], failed
 
 
 def vif_prune(
@@ -295,17 +297,19 @@ def _lattice(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
     bit i) and sweeps on it (the masks with bit i), and stacks the halves in
     that order.  Where x_i adds nothing, _sweep_first does not sweep it, so
     the subset with it keeps the fit of the subset without it.  Each step
-    writes both halves into one new array, so no level is copied twice.
+    writes both halves into one new array, so no level is copied twice.  The
+    levels are held mask last, (p, p, 2^i), so that every elementwise
+    operation runs over long contiguous rows; the result is a transposed view.
     """
     import numpy as np
-    stack = cross[None]
+    stack = cross[:, :, None]
     for s in scale:
-        m, p = len(stack), stack.shape[1] - 1
-        level = np.empty((2 * m, p, p))
-        level[:m] = stack[:, 1:, 1:]
-        _sweep_first(stack, s, out=level[m:])
+        p, m = stack.shape[0] - 1, stack.shape[2]
+        level = np.empty((p, p, 2 * m))
+        level[:, :, :m] = stack[1:, 1:]
+        _sweep_first(stack, s, out=level[:, :, m:])
         stack = level
-    return stack
+    return stack.transpose(2, 0, 1)
 
 
 def _all_subset_rss(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -346,11 +350,11 @@ def aic_select(matrix: FeatureMatrix, names: list[str] | None = None) -> AicSele
     lead = max(0, k - MAX_LATTICE)
     branches = _lattice(cross, scale[:lead])
     rest = scale[lead:]
-    largest = branches
+    largest = branches.transpose(1, 2, 0)
     for s in rest:
         largest, _ = _sweep_first(largest, s)
     lead_sizes = _subset_sizes(lead)
-    bound = n * np.log(np.maximum(largest[:, 0, 0], _TINY_RSS) / n) + 2 * (lead_sizes + 2)
+    bound = n * np.log(np.maximum(largest[0, 0], _TINY_RSS) / n) + 2 * (lead_sizes + 2)
     sizes = _subset_sizes(k - lead)
     # np.log and math.log may differ in the last bit: the margin keeps every
     # model within AIC_DELTA, and aic() then scores those exactly.  No branch's
