@@ -357,9 +357,12 @@ def cmd_stats(args) -> int:
         f"{matrix.unmatched_scores} scores rows match no indices row",
         file=sys.stderr,
     )
-    if matrix.n_rows() < 10:
-        raise ValueError(f"join produced only {matrix.n_rows()} rows (need >= 10)")
-    result = run_pipeline(matrix, r_threshold=args.r_threshold, vif_limit=args.vif_limit)
+    try:  # a fault of the joined rows, not of one file: the error names both
+        if matrix.n_rows() < 10:
+            raise ValueError(f"join produced only {matrix.n_rows()} rows (need >= 10)")
+        result = run_pipeline(matrix, r_threshold=args.r_threshold, vif_limit=args.vif_limit)
+    except ValueError as exc:
+        raise ValueError(f"{args.indices_csv}, {args.scores_csv}: {exc}") from None
     with _replace_on_success(args.report) as out:
         out.write(format_report(result))
     print(f"report -> {args.report}", file=sys.stderr)

@@ -157,10 +157,16 @@ def parse_conllu(text: str, source_id: str = "<stream>", first_line: int = 1) ->
 
 
 def _field_int(text: str, column: str, lineno: int) -> int:
-    """A word id or head cell as an int; it must be ASCII decimal digits."""
+    """A word id or head cell as an int; it must be ASCII decimal digits, few
+    enough for int() (sys.get_int_max_str_digits(), 4300 by default)."""
     if not (text.isascii() and text.isdecimal()):
         raise ConlluError(f"line {lineno}: malformed token line (non-integer {column} {text!r})")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ConlluError(
+            f"line {lineno}: malformed token line ({column} of {len(text)} digits)"
+        ) from None
 
 
 def read_conllu_chunks(path: str | Path, source_id: str | None = None) -> Iterator[Document]:

@@ -212,4 +212,7 @@ def _count(text: str, what: str) -> int:
     """text read as a count; int() would also take 1_0, " 5 " and "+5", so only 0-9 pass."""
     if not (text.isascii() and text.isdigit()):
         raise NormTableError(f"malformed norm file: {what} is not ASCII digits: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits(), 4300 by default
+        raise NormTableError(f"malformed norm file: {what} has {len(text)} digits") from None

@@ -26,7 +26,7 @@ from .indices import soa_family
 _TINY_RSS = 1e-300
 
 # The widest subset lattice swept in one pass: its time and memory double with
-# each column (0.05 s and a few MB at 18, over half a GB at 25).  AIC selection
+# each column (0.02 s and a few MB at 18, over half a GB at 25).  AIC selection
 # branches on the columns beyond it; LMG, which needs every subset of the
 # model's predictors, is computed up to it.
 MAX_LATTICE = 18
@@ -297,9 +297,11 @@ def _lattice(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
     bit i) and sweeps on it (the masks with bit i), and stacks the halves in
     that order.  Where x_i adds nothing, _sweep_first does not sweep it, so
     the subset with it keeps the fit of the subset without it.  Each step
-    writes both halves into one new array, so no level is copied twice.  The
-    levels are held mask last, (p, p, 2^i), so that every elementwise
-    operation runs over long contiguous rows; the result is a transposed view.
+    writes both halves into one new array, so no level is copied twice.  Each
+    level is held mask last, as a (p, p, 2^i) array, so that every elementwise
+    operation of _sweep_first runs over contiguous rows of 2^i floats rather
+    than over matrix rows of p or fewer; the stack returned is a transposed
+    view of the last level, so stack[m] is a strided (p, p) view.
     """
     import numpy as np
     stack = cross[:, :, None]
@@ -316,8 +318,8 @@ def _all_subset_rss(cross: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """RSS of the intercept-plus-S least-squares fit for every bit mask S, indexed by mask.
 
     cross and scale are _cross(x, y); the lattice over every column of x
-    leaves each subset's residual sum of squares of y.  The largest stacked
-    array holds 2^(k-2) x 3 x 3 floats (4.7 MB at k = 18).
+    leaves each subset's residual sum of squares of y.  The largest level
+    holds 3 x 3 x 2^(k-2) floats (4.7 MB at k = 18).
     """
     import numpy as np
     return np.maximum(_lattice(cross, scale)[:, 0, 0], 0.0)

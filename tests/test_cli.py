@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import gc
+import io
 import importlib
 import os
 import random
@@ -13,6 +15,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpusgen
 from asc_toolkit import cli, ingest
@@ -668,6 +672,35 @@ def test_build_norms_default_label_is_the_corpus_dir_name(
     out = tmp_path / "n.tsv"
     assert cli.main(["build-norms", "--corpus-dir", corpus_dir, "--out", str(out)]) == 0
     assert load_norms(out).source == label
+
+
+def test_build_norms_refuses_a_label_that_is_not_utf8_before_any_text_is_read(
+    frames_dir, tmp_path, monkeypatch, capsys
+):
+    # A directory named b"\xff", read back as "\udcff", would label the table by default.
+    texts = copy_frames(frames_dir, tmp_path / os.fsdecode(b"\xff"), ["attr"])
+    out, dbg = tmp_path / "n.tsv", tmp_path / "tags.tsv"
+    out.write_bytes(b"old table\n")
+    dbg.write_bytes(b"old tags\n")
+    argv = ["build-norms", "--corpus-dir", str(texts), "--out", str(out), "--debug-tags", str(dbg)]
+
+    def unread(*args):
+        raise AssertionError(f"read {args}")
+
+    monkeypatch.setattr(cli, "read_conllu_chunks", unread)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path}/\\xff: its name, the default --label, must be UTF-8, got '\\udcff'\n"
+    )
+    # A given --label that is not UTF-8 is a usage error.
+    assert cli.main(argv + ["--label", os.fsdecode(b"a\xffb")]) == 1
+    assert capsys.readouterr().err == "usage error: --label must be UTF-8, got 'a\\udcffb'\n"
+    assert (out.read_bytes(), dbg.read_bytes()) == (b"old table\n", b"old tags\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n.tsv", "tags.tsv", texts.name]
+    # A UTF-8 --label names the table whatever the directory is called.
+    monkeypatch.undo()
+    assert cli.main(argv + ["--label", "ok"]) == 0
+    assert load_norms(out).source == "ok"
 
 
 def test_build_norms_empty_dir_aborts(tmp_path, capsys):
@@ -1514,15 +1547,27 @@ def test_stats_skips_blank_lines_before_the_header(tmp_path, capsys, which):
 
 def test_stats_header_only_indices_csv_joins_no_row(tmp_path, capsys):
     scores = "filename,score\n" + "".join(f"t{i},{i}\n" for i in range(12))
-    rc, _, report = run_stats(tmp_path, "filename,alpha,beta\n", scores)
+    rc, paths, report = run_stats(tmp_path, "filename,alpha,beta\n", scores)
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    # The join is said before the row check that stops the run.
+    # The join is said before the row check that stops the run, which names both CSVs.
     assert err == [
         "joined 0 of 0 indices rows: 0 with no scores row, 0 with a blank score; "
         "12 scores rows match no indices row",
-        "error: join produced only 0 rows (need >= 10)",
+        f"error: {paths['indices']}, {paths['scores']}: join produced only 0 rows (need >= 10)",
     ]
+    assert not report.exists()
+
+
+def test_stats_score_constant_over_the_joined_rows_names_both_csvs(tmp_path, capsys):
+    # The scores vary, but not over the rows that join: a fault of neither file alone.
+    indices = "filename,alpha\n" + "".join(f"t{i},{i % 5}\n" for i in range(12))
+    scores = "filename,score\n" + "".join(f"t{i},3\n" for i in range(12)) + "u0,4\n"
+    rc, paths, report = run_stats(tmp_path, indices, scores)
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {paths['indices']}, {paths['scores']}: constant vector: the score does not vary"
+    )
     assert not report.exists()
 
 
@@ -1576,3 +1621,60 @@ def test_stats_indices_csv_with_only_filename_loads(tmp_path):
 
 def test_unknown_subcommand_flag_is_usage_error(capsys):
     assert cli.main(["analyze", "--nope"]) == 1
+
+
+def _valid_run(command):
+    """A valid run of command in one directory: its input files {name: bytes}, argv and outputs."""
+    frames = Path(__file__).parent / "fixtures" / "frames"
+    texts = {f"{stem}.conllu": (frames / f"{stem}.conllu").read_bytes() for stem in ("attr", "ditran")}
+    if command == "analyze":
+        table = (Path(cli.__file__).parent / "data" / "demo.tsv").read_bytes()
+        argv = ["--input-dir", ".", "--source", "n.tsv", "--output-csv", "a.csv", "--debug-tags", "a.tags"]
+        return {**texts, "n.tsv": table}, argv, ["a.csv", "a.tags"]
+    if command == "build-norms":
+        argv = ["--corpus-dir", ".", "--label", "x", "--out", "n.tsv", "--debug-tags", "n.tags"]
+        return texts, argv, ["n.tsv", "n.tags"]
+    rng = random.Random(0)
+    rows = [(f"t{i}", rng.gauss(0, 1), rng.gauss(0, 1), i % 4) for i in range(30)]
+    indices = "filename,alpha,beta,gamma\n" + "".join(f"{f},{a!r},{b!r},{c}\n" for f, a, b, c in rows)
+    scores = "filename,score\n" + "".join(f"{f},{a + 0.5 * b!r}\n" for f, a, b, _ in rows)
+    argv = ["--indices-csv", "ix.csv", "--scores-csv", "sc.csv", "--report", "r.txt"]
+    return {"ix.csv": indices.encode(), "sc.csv": scores.encode()}, argv, ["r.txt"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "build-norms", "stats"]),
+    data=st.data(),
+    # None cuts the file short there; a cell or line past csv's field limit is oversized.
+    stray=st.sampled_from([None, b"\0", b"\r", b"1" * (csv.field_size_limit() + 1)])
+    | st.binary(min_size=1, max_size=1),
+)
+def test_a_byte_level_fault_in_an_input_exits_0_or_2_naming_the_file(command, data, stray):
+    # One input of a valid run is cut short or gets a stray byte.  The run
+    # returns 0 or 2 and raises nothing; on 2 its last line names that input,
+    # and every output keeps its bytes.
+    files, argv, outputs = _valid_run(command)
+    name = data.draw(st.sampled_from(sorted(files)), label="name")
+    body = files[name]
+    at = data.draw(st.integers(0, len(body)), label="at")
+    mutated = body[:at] if stray is None else body[:at] + stray + body[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for file, content in {**files, name: mutated}.items():
+            (work / file).write_bytes(content)
+        for out in outputs:
+            (work / out).write_bytes(b"old " + out.encode())
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([command, *argv])
+        finally:
+            os.chdir(cwd)
+        assert rc in (0, 2), err.getvalue()
+        if rc == 2:
+            assert name in err.getvalue().splitlines()[-1]
+            for out in outputs:
+                assert (work / out).read_bytes() == b"old " + out.encode()

@@ -356,6 +356,18 @@ def test_non_decimal_unicode_digits_are_rejected_with_the_line():
         parse_conllu(good + "2\tdog\tdog\tNOUN\t_\t_\t²\troot\t_\t_\n")
 
 
+@pytest.mark.parametrize("column", ["id", "head"])
+def test_an_id_or_head_past_the_int_digit_limit_is_a_malformed_line(tmp_path, column):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits with a bare ValueError.
+    digits = "1" * 5000
+    cells = (digits, "2") if column == "id" else ("1", digits)
+    path = tmp_path / "t.conllu"
+    path.write_text("{}\tThe\tthe\tDET\t_\t_\t{}\tdet\t_\t_\n".format(*cells), encoding="utf-8")
+    with pytest.raises(ConlluError) as info:
+        list(read_conllu_chunks(path))
+    assert str(info.value) == f"t.conllu: line 1: malformed token line ({column} of 5000 digits)"
+
+
 def test_decimal_digits_of_other_scripts_are_rejected_with_the_line():
     # Arabic-Indic and full-width two: \d and int() read them, but heads are
     # ASCII (ids: test_only_a_whole_range_or_empty_node_id_is_skipped).

@@ -257,6 +257,19 @@ def test_load_reads_only_ascii_digits(tmp_path, text, where):
         load_norms(path)
 
 
+@pytest.mark.parametrize("where", ["count", "total"])
+def test_load_names_the_file_for_a_count_past_the_int_digit_limit(tmp_path, where):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits with a bare ValueError.
+    digits = "1" * 5000
+    count, total = (digits, "10") if where == "count" else ("10", digits)
+    path = tmp_path / "big.tsv"
+    path.write_text(f"#source=x\n#version=1.0.0\n#total={total}\nATTR\tbe\t{count}\n", encoding="utf-8")
+    what = "count at line 4" if where == "count" else "#total header"
+    with pytest.raises(NormTableError) as info:
+        load_norms(path)
+    assert str(info.value) == f"{path}: malformed norm file: {what} has 5000 digits"
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -671,6 +671,35 @@ def test_lattice_in_place_equals_the_concatenating_sweep_bit_for_bit(k, data, n,
     assert np.array_equal(got, want)
 
 
+def test_lattice_over_no_column_is_the_cross_products():
+    rng = np.random.default_rng(3)
+    cross, scale = stats._cross(rng.standard_normal((20, 4)), rng.standard_normal(20))
+    got = stats._lattice(cross, scale[:0])
+    assert got.shape == cross[None].shape == (1, 5, 5)
+    assert np.array_equal(got, cross[None])
+
+
+@pytest.mark.parametrize("k", [19, 20, 21])
+def test_all_subset_rss_of_a_strided_branch_equals_its_contiguous_copy(k):
+    # aic_select scores each branch as it lies in the lattice, a strided view
+    # of a level held mask last; it must score as a C-ordered copy does.  A
+    # constant and a doubled column make pivots fail in every branch.
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((60, k))
+    x[:, 1] = 3.7
+    x[:, k - 1] = 2.0 * x[:, 0]
+    y = x[:, 0] - x[:, k - 2] + rng.standard_normal(60)
+    cross, scale = stats._cross(x, y)
+    lead = k - stats.MAX_LATTICE
+    branches = stats._lattice(cross, scale[:lead])
+    rest = scale[lead:]
+    assert branches.shape == (2**lead, stats.MAX_LATTICE + 1, stats.MAX_LATTICE + 1)
+    for h in range(2**lead):
+        assert not branches[h].flags.c_contiguous
+        got = stats._all_subset_rss(branches[h], rest)
+        assert np.array_equal(got, stats._all_subset_rss(np.ascontiguousarray(branches[h]), rest))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stats_k18_report_is_the_concatenating_lattices_bit_for_bit(tmp_path, monkeypatch, seed):
     # perfbench's stats-k18 input: 18 candidates reach the 2^18-model scan.
